@@ -497,10 +497,9 @@ let write_json ~domains measurements =
       ]
   in
   let file = Printf.sprintf "BENCH_%s.json" date in
-  let oc = open_out file in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
+  Obs.Atomic_file.write file (fun oc ->
+      output_string oc (Obs.Json.to_string json);
+      output_char oc '\n');
   Printf.printf "\nwrote %d measurements to %s\n" (List.length measurements)
     file;
   if Obs.Runlog.configured () then

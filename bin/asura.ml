@@ -945,10 +945,7 @@ let events_dump_cmd =
     match output with
     | None -> print_string text
     | Some file ->
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc text);
+        Obs.Atomic_file.write file (fun oc -> output_string oc text);
         Printf.printf "wrote %d events to %s\n"
           (List.length (Obs.Flightrec.of_json doc))
           file
@@ -1418,10 +1415,7 @@ let plan_snapshot_cmd =
     match output with
     | None -> print_string text
     | Some file ->
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc text);
+        Obs.Atomic_file.write file (fun oc -> output_string oc text);
         Printf.printf "wrote %d plans to %s\n"
           (List.length (Obs.Planlog.of_json json))
           file

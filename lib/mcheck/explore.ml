@@ -9,6 +9,7 @@ type result = {
   transitions : int;
   max_depth : int;
   elapsed : float;
+  cpu_s : float;
   violation : violation option;
   complete : bool;
   dedup_hits : int;  (** successor states already in the visited set *)
@@ -58,7 +59,8 @@ end
 (* Mutable search bookkeeping shared by the sequential and parallel
    engines; [finish] renders it into a {!result}. *)
 type search = {
-  t0 : float;
+  t0 : int64;  (** wall clock, {!Obs.Clock} *)
+  cpu0 : float;  (** process CPU time, summed over domains *)
   mutable s_explored : int;
   mutable s_transitions : int;
   mutable s_max_depth : int;
@@ -70,7 +72,8 @@ type search = {
 
 let new_search () =
   {
-    t0 = Sys.time ();
+    t0 = Obs.Clock.now_ns ();
+    cpu0 = Sys.time ();
     s_explored = 0;
     s_transitions = 0;
     s_max_depth = 0;
@@ -108,7 +111,7 @@ let heartbeat_vals ~t0 ~max_states ~explored ~frontier ~max_depth =
          granularity): dividing by it yields an absurd or non-finite
          rate, and the ETA then prints as inf/nan.  Below a millisecond
          of elapsed time there is no meaningful rate yet. *)
-      let elapsed = Sys.time () -. t0 in
+      let elapsed = Obs.Clock.to_s (Obs.Clock.since t0) in
       let rate =
         if elapsed < 1e-3 then 0. else float_of_int explored /. elapsed
       in
@@ -138,7 +141,8 @@ let violation_code = function
   | `Deadlock -> 3
 
 let finish sr ~states ~engine ~probabilistic violation complete =
-  let elapsed = Sys.time () -. sr.t0 in
+  let elapsed = Obs.Clock.to_s (Obs.Clock.since sr.t0) in
+  let cpu_s = Sys.time () -. sr.cpu0 in
   (* the stop reason closes the flight recording, so a drain's tail
      explains *why* the engine stopped right after *what* it was doing *)
   (match violation with
@@ -173,6 +177,7 @@ let finish sr ~states ~engine ~probabilistic violation complete =
            ("transitions", Obs.Json.Int sr.s_transitions);
            ("max_depth", Obs.Json.Int sr.s_max_depth);
            ("elapsed_s", Obs.Json.Float elapsed);
+           ("cpu_s", Obs.Json.Float cpu_s);
            ( "states_per_sec",
              Obs.Json.Float
                (if elapsed <= 0. then 0.
@@ -192,6 +197,7 @@ let finish sr ~states ~engine ~probabilistic violation complete =
     transitions = sr.s_transitions;
     max_depth = sr.s_max_depth;
     elapsed;
+    cpu_s;
     violation;
     complete;
     dedup_hits = sr.s_dedup_hits;
@@ -709,9 +715,9 @@ let run ?(max_states = 200_000) ?(symmetry = false) ?tables
 
 let pp_result fmt r =
   Format.fprintf fmt
-    "states=%d transitions=%d depth=%d time=%.2fs (%.0f states/s, dedup \
-     %.0f%%) engine=%s%s %s"
-    r.explored r.transitions r.max_depth r.elapsed (states_per_sec r)
+    "states=%d transitions=%d depth=%d time=%.2fs cpu=%.2fs (%.0f states/s, \
+     dedup %.0f%%) engine=%s%s %s"
+    r.explored r.transitions r.max_depth r.elapsed r.cpu_s (states_per_sec r)
     (100. *. dedup_rate r)
     r.engine
     (if r.probabilistic then " (probabilistic)" else "")

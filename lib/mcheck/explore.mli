@@ -15,7 +15,10 @@ type result = {
   explored : int;  (** distinct states visited *)
   transitions : int;
   max_depth : int;
-  elapsed : float;  (** seconds *)
+  elapsed : float;  (** wall-clock seconds *)
+  cpu_s : float;
+      (** process CPU seconds over the search, summed across domains: above
+          [elapsed] when several domains work *)
   violation : violation option;  (** first violation found, if any *)
   complete : bool;  (** false if [max_states] stopped the search *)
   dedup_hits : int;  (** successors already in the visited set *)
@@ -35,6 +38,7 @@ type result = {
 }
 
 val states_per_sec : result -> float
+(** [explored] per wall-clock second. *)
 
 val dedup_rate : result -> float
 (** Fraction of transitions whose target was already visited. *)

@@ -133,10 +133,7 @@ let write () =
         Filename.concat dir
           (Printf.sprintf "%s-%s.json" (timestamp_slug started_at) cmd)
       in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
+      Atomic_file.write path (fun oc ->
           output_string oc (Json.to_string doc);
           output_char oc '\n');
       Some path

@@ -127,10 +127,7 @@ let to_json () =
 let export () = Json.to_string (to_json ())
 
 let save filename =
-  let oc = open_out filename in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (export ()))
+  Atomic_file.write filename (fun oc -> output_string oc (export ()))
 
 (* ------------------------------ roll-up ------------------------------- *)
 

@@ -201,6 +201,27 @@ let test_bounded_search_reports_incomplete () =
   check "bounded" false r.Explore.complete;
   check_int "respected the bound" 50 r.Explore.explored
 
+(* [elapsed] is wall-clock time: with two domains expanding, the CPU
+   time summed across them may exceed it, but [elapsed] never exceeds the
+   caller's own wall-clock bracket around the run. *)
+let test_elapsed_is_wall_clock () =
+  Par.Pool.with_domains 2 (fun () ->
+      List.iter
+        (fun engine ->
+          let t0 = Obs.Clock.now_ns () in
+          let r =
+            Explore.run ~engine ~max_states:20_000 ~tables:(Lazy.force tables)
+              (config [ "load"; "store" ])
+          in
+          let wall = Obs.Clock.to_s (Obs.Clock.since t0) in
+          check "elapsed within the caller's wall bracket" true
+            (r.Explore.elapsed > 0. && r.Explore.elapsed <= wall);
+          check "cpu time reported separately" true (r.Explore.cpu_s > 0.);
+          check "states/s is per wall second" true
+            (Explore.states_per_sec r
+            >= float_of_int r.Explore.explored /. wall))
+        [ `Steal; `Level ])
+
 let suite =
   [
     Alcotest.test_case "state basics" `Quick test_state_basics;
@@ -219,4 +240,6 @@ let suite =
     Alcotest.test_case "symmetry reduction" `Slow test_symmetry_reduction;
     Alcotest.test_case "symmetry preserves bug finding" `Slow test_symmetry_still_finds_bugs;
     Alcotest.test_case "bounded search reports incomplete" `Quick test_bounded_search_reports_incomplete;
+    Alcotest.test_case "elapsed is wall clock at 2 domains" `Quick
+      test_elapsed_is_wall_clock;
   ]

@@ -217,6 +217,34 @@ let test_report_render =
   Obs.Report.reset ();
   check_string "reset empties the report" "" (Obs.Report.render ())
 
+(* Artifacts are written to a temporary beside the target and renamed
+   into place: an overwrite replaces the whole file and leaves nothing
+   else in the directory, and a failed write leaves the old file as it
+   was. *)
+let test_atomic_overwrite () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "asura-test-atomic-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "artifact.json" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Obs.Atomic_file.write path (fun oc -> output_string oc "first, longer\n");
+  Obs.Atomic_file.write path (fun oc -> output_string oc "second\n");
+  check_string "overwrite replaces the contents" "second\n" (read ());
+  (try
+     Obs.Atomic_file.write path (fun oc ->
+         output_string oc "partial";
+         failwith "killed mid-write")
+   with Failure _ -> ());
+  check_string "a failed write leaves the old file" "second\n" (read ());
+  Obs.Trace.save path;
+  let entries = Sys.readdir dir in
+  Sys.remove path;
+  Unix.rmdir dir;
+  Alcotest.(check (array string))
+    "no temporary left behind" [| "artifact.json" |] entries
+
 let suite =
   [
     "span nesting and ordering", `Quick, test_span_nesting;
@@ -228,4 +256,5 @@ let suite =
     "chrome trace json round trip", `Quick, test_chrome_roundtrip;
     "json parser", `Quick, test_json_parser;
     "report rendering", `Quick, test_report_render;
+    "atomic artifact overwrite", `Quick, test_atomic_overwrite;
   ]

@@ -70,7 +70,8 @@ let observe_generation (tbl, stats) =
     Table.rows tbl,
     stats.Solver.candidates,
     stats.Solver.evaluations,
-    stats.Solver.per_column )
+    stats.Solver.per_column,
+    stats.Solver.pruning )
 
 let prop_generate_diff =
   QCheck.Test.make ~count:500
@@ -82,6 +83,153 @@ let prop_monolithic_diff =
     ~name:"monolithic generation identical across 1/2/4 domains" spec_arb
     (fun s ->
       agree (fun () -> observe_generation (Solver.generate_monolithic s)))
+
+(* Controller-shaped specs for the factorized solver: input constraints
+   are ORs of scenario boxes over the column's prefix, output constraints
+   first-match ternary chains over the full boxes — overlapping guards,
+   [Copy] leaves, determined values missing from the domain, duplicate
+   domain values, guard lists past one 63-bit word, non-atomic guards
+   (registered function, ordered comparison, column-column equality) and
+   chains whose guards mention the column being added.  The solver must
+   match the row-at-a-time oracle at every domain count. *)
+let ctrl_funcs = function
+  | "isa" -> Some (fun v -> Value.equal v (Value.Str "a"))
+  | _ -> None
+
+let ctrl_spec_gen =
+  QCheck.Gen.(
+    let letter = oneofl [ "a"; "b"; "c" ] in
+    let domain =
+      let* vs = list_size (int_range 1 4) letter in
+      return (Value.Null :: List.map Value.str vs)
+    in
+    let* wide = bool in
+    let* nin = int_range 1 3 and* nout = int_range 1 3 in
+    let ins = List.init nin (Printf.sprintf "i%d") in
+    let outs = List.init nout (Printf.sprintf "o%d") in
+    let* in_doms = list_repeat nin domain
+    and* out_doms = list_repeat nout domain in
+    let* nscen = frequency [ 3, int_range 0 8; 1, int_range 60 130 ] in
+    let atom c =
+      frequency
+        [
+          4, map (Expr.eq c) letter;
+          2, return (Expr.eq_null c);
+          1, map (Expr.isin c) (list_size (int_range 1 2) letter);
+          1, map (Expr.neq c) letter;
+          2, return Expr.True;
+        ]
+    in
+    let odd c =
+      oneof
+        [
+          return (Expr.Fn ("isa", Expr.col c));
+          map (fun v -> Expr.Cmp (Expr.Lt, Expr.col c, Expr.s v)) letter;
+          map (fun o -> Expr.Eq (Expr.col c, Expr.col o)) (oneofl ins);
+        ]
+    in
+    (* in a long list most guards of the first word never hold, so first
+       matches land past the first bitset word *)
+    let* boxes =
+      flatten_l
+        (List.init nscen (fun g ->
+             let* atoms = flatten_l (List.map atom ins) in
+             let* live = int_bound 7 in
+             return
+               (if nscen > 63 && g < 63 && live > 0 then
+                  Expr.eq (List.hd ins) "zz" :: atoms
+                else atoms)))
+    in
+    (* some specs carry non-atomic guards, which send their chains down
+       the compiled-closure fallback *)
+    let* odd_spec = bool in
+    let* odd_guards =
+      list_repeat nscen
+        (let* k = int_bound 9 in
+         if odd_spec && k = 0 then map Option.some (odd (List.hd ins))
+         else return None)
+    in
+    let guard atoms odd =
+      match odd with None -> Expr.conj atoms | Some e -> Expr.conj (e :: atoms)
+    in
+    let input_constraint k =
+      let* odd_disj =
+        frequency [ 9, return []; 1, map (fun e -> [ e ]) (odd (List.nth ins k)) ]
+      in
+      return
+        ( List.nth ins k,
+          Expr.disj
+            (List.map
+               (fun atoms -> Expr.conj (List.filteri (fun j _ -> j <= k) atoms))
+               boxes
+            @ odd_disj) )
+    in
+    let leaf o =
+      frequency
+        [
+          4, map (Expr.eq o) letter;
+          1, return (Expr.eq o "zz");
+          2, map (fun i -> Expr.Eq (Expr.col o, Expr.col i)) (oneofl ins);
+          1, map (fun i -> Expr.Eq (Expr.col i, Expr.col o)) (oneofl ins);
+          2, return (Expr.eq_null o);
+          1, map (Expr.isin o) (list_size (int_range 1 2) letter);
+          ( 1,
+            map2
+              (fun v i -> Expr.Or (Expr.eq o v, Expr.eq i v))
+              letter (oneofl ins) );
+          1, map (fun v -> Expr.Not (Expr.eq o v)) letter;
+        ]
+    in
+    let output_constraint o =
+      let* leaves = list_repeat nscen (leaf o) and* default = leaf o in
+      let* shape = int_bound 9 in
+      let guards = List.map2 guard boxes odd_guards in
+      let guards, leaves =
+        match shape, guards, leaves with
+        (* a guard on the column itself: no first-match factorization *)
+        | 0, _ :: gs, ls -> Expr.eq o "a" :: gs, ls
+        (* another guard list, with its own first-match column *)
+        | (1 | 2), _ :: gs, _ :: ls -> gs, ls
+        | _ -> guards, leaves
+      in
+      return (o, List.fold_right2 Expr.ternary guards leaves default)
+    in
+    let* in_cs = flatten_l (List.init nin input_constraint) in
+    let* out_cs = flatten_l (List.map output_constraint outs) in
+    let col role name domain = { Solver.cname = name; role; domain } in
+    let columns =
+      (if wide then
+         [ col Solver.Input "w" (List.init 48 (fun i -> Value.Int i)) ]
+       else [])
+      @ List.map2 (col Solver.Input) ins in_doms
+      @ List.map2 (col Solver.Output) outs out_doms
+    in
+    return (Solver.make ~name:"ctrl" ~columns ~constraints:(in_cs @ out_cs)))
+
+let prop_factorized_vs_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"factorized generation = reference oracle across 1/2/4 domains"
+    (QCheck.make ctrl_spec_gen ~print:(fun s ->
+         String.concat "\n"
+           (List.map
+              (fun c ->
+                Format.asprintf "%s: %a" c.Solver.cname Expr.pp
+                  (Solver.constraint_of s c.Solver.cname))
+              (Solver.columns s))))
+    (fun s ->
+      let oracle =
+        observe_generation (Solver_oracle.generate ~funcs:ctrl_funcs s)
+      in
+      let runs =
+        List.map
+          (fun d ->
+            Par.Pool.with_domains d (fun () ->
+                let tbl, st = Solver.generate ~funcs:ctrl_funcs s in
+                observe_generation (tbl, st), st.Solver.physical_evaluations))
+          domains_swept
+      in
+      List.for_all (fun (o, _) -> o = oracle) runs
+      && List.for_all (fun (_, p) -> p = snd (List.hd runs)) runs)
 
 (* --------------------- relational-operator differential --------------- *)
 
@@ -445,4 +593,5 @@ let suite =
       test_figure4_witness_packs;
     Alcotest.test_case "resident pool spawns no new domains" `Quick
       test_pool_spawns_no_new_domains;
+    Test_seed.to_alcotest prop_factorized_vs_oracle;
   ]
