@@ -533,7 +533,10 @@ let mcheck_cmd =
     Arg.(
       value & flag
       & info [ "depth-profile" ]
-          ~doc:"Print the per-depth expansion histogram of the BFS.")
+          ~doc:
+            "Print the per-depth expansion histogram of the BFS (needs a \
+             one-domain search; on several domains depth is not BFS \
+             depth).")
   in
   let msc =
     Arg.(
@@ -543,24 +546,6 @@ let mcheck_cmd =
             "On a violation, render the counterexample trace as a \
              message-sequence chart (the form of the paper's Figures 2 \
              and 4) instead of raw trace lines.")
-  in
-  let engine =
-    let engine_conv =
-      Arg.enum
-        [
-          "auto", `Auto; "seq", `Seq; "seq-packed", `Seq_packed;
-          "level", `Level; "steal", `Steal;
-        ]
-    in
-    Arg.(
-      value & opt engine_conv `Auto
-      & info [ "engine" ]
-          ~doc:
-            "Exploration core: $(b,auto) (default: sequential boxed at one \
-             domain, work-stealing packed otherwise), $(b,seq) (boxed \
-             reference), $(b,seq-packed) (bit-packed, single-threaded), \
-             $(b,level) (level-synchronized parallel BFS) or $(b,steal) \
-             (work-stealing packed frontier).")
   in
   let compact_bits =
     Arg.(
@@ -573,13 +558,13 @@ let mcheck_cmd =
              merge two states, so the run is reported as probabilistic \
              and violations carry no trace.")
   in
-  let run () nodes addrs max_states evictions depth_profile msc_flag engine
+  let run () nodes addrs max_states evictions depth_profile msc_flag
       compact_bits =
     let ops =
       [ "load"; "store" ] @ if evictions then [ "evictmod"; "evictsh" ] else []
     in
     let r =
-      Mcheck.Explore.run ~max_states ~engine ?compact_bits
+      Mcheck.Explore.run ~max_states ?compact_bits
         { Mcheck.Semantics.nodes; addrs; ops; capacity = 3; io_addrs = []; lossy = false }
     in
     Format.printf "%a@." Mcheck.Explore.pp_result r;
@@ -601,7 +586,7 @@ let mcheck_cmd =
           Murphi-style baseline the paper compares against).")
     Term.(
       const run $ setup_term $ nodes $ addrs $ max_states $ evictions
-      $ depth_profile $ msc $ engine $ compact_bits)
+      $ depth_profile $ msc $ compact_bits)
 
 (* ------------------------- system tables (sys.) ----------------------- *)
 
@@ -866,15 +851,10 @@ let events_top_cmd =
           warn_skipped skipped;
           db
       | None ->
-          (* a small exploration fills the rings: fires and dedup from
-             any engine, steals when domains > 1 pick the stealing core
-             (explicit `Steal keeps the requested degree even when the
-             hardware offers fewer cores, unlike `Auto) *)
-          let engine =
-            if Par.Pool.domains () > 1 then `Steal else `Auto
-          in
+          (* a small exploration fills the rings: fires and dedup,
+             plus steals when the search runs on several domains *)
           ignore
-            (Mcheck.Explore.run ~max_states ~engine
+            (Mcheck.Explore.run ~max_states
                {
                  Mcheck.Semantics.nodes = 2;
                  addrs = 1;

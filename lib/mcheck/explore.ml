@@ -7,13 +7,17 @@ type violation = {
 type result = {
   explored : int;
   transitions : int;
-  max_depth : int;
+  max_depth : int option;
+      (** deepest BFS level expanded; [None] when several participants
+          raced, since discovery depth is then not BFS depth *)
   elapsed : float;
   cpu_s : float;
   violation : violation option;
   complete : bool;
   dedup_hits : int;  (** successor states already in the visited set *)
-  per_depth : (int * int) list;  (** states expanded at each BFS depth *)
+  per_depth : (int * int) list;
+      (** states expanded at each BFS depth; [[]] when [max_depth] is
+          [None] *)
   max_frontier : int;  (** peak BFS queue length *)
   states : string list option;
       (** sorted visited-set keys, when requested with [keep_states] *)
@@ -38,26 +42,8 @@ let classify detail =
 
 let obs_reg = lazy (Obs.Metrics.registry "mcheck")
 
-(* The visited set of the parallel engine, sharded by key hash so each
-   shard's hashtable stays small and cheap to grow as the state count
-   climbs into the hundreds of thousands.  Only the merging (spawning)
-   domain ever writes; expansion workers never touch it. *)
-module Sharded = struct
-  let shards = 64
-
-  let create () = Array.init shards (fun _ -> Hashtbl.create 256)
-  let slot key = Hashtbl.hash key land (shards - 1)
-  let mem t key = Hashtbl.mem t.(slot key) key
-  let add t key = Hashtbl.add t.(slot key) key ()
-
-  let keys t =
-    Array.fold_left
-      (fun acc h -> Hashtbl.fold (fun k () acc -> k :: acc) h acc)
-      [] t
-end
-
-(* Mutable search bookkeeping shared by the sequential and parallel
-   engines; [finish] renders it into a {!result}. *)
+(* Mutable search bookkeeping shared by the packed engine and the boxed
+   reference; [finish] renders it into a {!result}. *)
 type search = {
   t0 : int64;  (** wall clock, {!Obs.Clock} *)
   cpu0 : float;  (** process CPU time, summed over domains *)
@@ -86,13 +72,10 @@ let new_search () =
         (Lazy.force obs_reg) "expansion_depth";
   }
 
-(* Per-state bookkeeping at expansion time, identical in both engines:
-   the frontier length is sampled before the state is counted. *)
+(* Per-state bookkeeping of the boxed reference at expansion time: the
+   frontier length is sampled before the state is counted. *)
 let expand_state sr ~frontier ~depth =
   if frontier > sr.s_max_frontier then sr.s_max_frontier <- frontier;
-  (* sample the frontier sparsely so tracing stays cheap *)
-  if sr.s_explored land 1023 = 0 then
-    Obs.Trace.counter "mcheck.frontier" [ "queued", float_of_int frontier ];
   Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:depth ~b:frontier ();
   sr.s_explored <- sr.s_explored + 1;
   Hashtbl.replace sr.s_per_depth depth
@@ -101,10 +84,11 @@ let expand_state sr ~frontier ~depth =
   if depth > sr.s_max_depth then sr.s_max_depth <- depth
 
 (* The --progress heartbeat.  Only ever called from the spawning domain
-   (the sequential loop and the parallel merge loop, after the level's
-   workers have joined), so snapshotting coverage shards is safe and
-   worker determinism is untouched.  [Runlog.tick] rate-limits to the
-   configured interval; when --progress is off this is one match. *)
+   (the reference loop, or participant 0 of the stealing loop, which runs
+   there), so snapshotting coverage shards is safe.  [max_depth] is
+   [None] when several participants race and depth is not BFS depth.
+   [Runlog.tick] rate-limits to the configured interval; when --progress
+   is off this is one match. *)
 let heartbeat_vals ~t0 ~max_states ~explored ~frontier ~max_depth =
   Obs.Runlog.tick (fun () ->
       (* The first tick can fire with elapsed ~ 0 (or exactly 0 at clock
@@ -124,15 +108,19 @@ let heartbeat_vals ~t0 ~max_states ~explored ~frontier ~max_depth =
           if Float.is_finite s then Printf.sprintf "%.0fs" s else "?"
       in
       Printf.sprintf
-        "[mcheck] explored=%d frontier=%d depth=%d states/s=%.0f \
-         coverage=%.1f%% eta<=%s"
-        explored frontier max_depth rate
+        "[mcheck] explored=%d frontier=%d%s states/s=%.0f coverage=%.1f%% \
+         eta<=%s"
+        explored frontier
+        (match max_depth with
+        | Some d -> Printf.sprintf " depth=%d" d
+        | None -> "")
+        rate
         (Obs.Coverage.percent ~covered ~rows)
         eta)
 
 let heartbeat sr ~max_states ~frontier =
   heartbeat_vals ~t0:sr.t0 ~max_states ~explored:sr.s_explored ~frontier
-    ~max_depth:sr.s_max_depth
+    ~max_depth:(Some sr.s_max_depth)
 
 let violation_code = function
   | `Coherence -> 0
@@ -140,7 +128,9 @@ let violation_code = function
   | `Unhandled -> 2
   | `Deadlock -> 3
 
-let finish sr ~states ~engine ~probabilistic violation complete =
+(* [depths] is false when the search ran on several participants: the
+   depth fields are then discovery depths and are left out. *)
+let finish sr ~states ~engine ~probabilistic ~depths violation complete =
   let elapsed = Obs.Clock.to_s (Obs.Clock.since sr.t0) in
   let cpu_s = Sys.time () -. sr.cpu0 in
   (* the stop reason closes the flight recording, so a drain's tail
@@ -175,7 +165,8 @@ let finish sr ~states ~engine ~probabilistic violation complete =
          [
            ("explored", Obs.Json.Int sr.s_explored);
            ("transitions", Obs.Json.Int sr.s_transitions);
-           ("max_depth", Obs.Json.Int sr.s_max_depth);
+           ( "max_depth",
+             if depths then Obs.Json.Int sr.s_max_depth else Obs.Json.Null );
            ("elapsed_s", Obs.Json.Float elapsed);
            ("cpu_s", Obs.Json.Float cpu_s);
            ( "states_per_sec",
@@ -195,15 +186,17 @@ let finish sr ~states ~engine ~probabilistic violation complete =
   {
     explored = sr.s_explored;
     transitions = sr.s_transitions;
-    max_depth = sr.s_max_depth;
+    max_depth = (if depths then Some sr.s_max_depth else None);
     elapsed;
     cpu_s;
     violation;
     complete;
     dedup_hits = sr.s_dedup_hits;
     per_depth =
-      List.sort compare
-        (Hashtbl.fold (fun d n acc -> (d, n) :: acc) sr.s_per_depth []);
+      (if depths then
+         List.sort compare
+           (Hashtbl.fold (fun d n acc -> (d, n) :: acc) sr.s_per_depth [])
+       else []);
     max_frontier = sr.s_max_frontier;
     states;
     engine;
@@ -212,10 +205,12 @@ let finish sr ~states ~engine ~probabilistic violation complete =
 
 exception Found of violation
 
-(* ------------------------- sequential engine -------------------------- *)
+(* --------------------------- boxed reference --------------------------- *)
 
-let run_seq ?(engine = "seq") ~max_states ~keep_states ~state_key ~tables
-    config =
+(* FIFO BFS over Marshal-string keys with a parent pointer per state: the
+   differential oracle, and the replay that turns a violation found by
+   the packed engine into an exact counterexample trace. *)
+let run_seq ~engine ~max_states ~keep_states ~state_key ~tables config =
   let sr = new_search () in
   let initial = Mstate.initial ~nodes:config.Semantics.nodes ~addrs:config.addrs in
   let visited : (string, unit) Hashtbl.t = Hashtbl.create 4096 in
@@ -232,12 +227,16 @@ let run_seq ?(engine = "seq") ~max_states ~keep_states ~state_key ~tables
     in
     go key []
   in
-  let states () =
-    if keep_states then
-      Some
-        (List.sort compare
-           (Hashtbl.fold (fun k () acc -> k :: acc) visited []))
-    else None
+  let finish violation complete =
+    let states =
+      if keep_states then
+        Some
+          (List.sort compare
+             (Hashtbl.fold (fun k () acc -> k :: acc) visited []))
+      else None
+    in
+    finish sr ~states ~engine ~probabilistic:false ~depths:true violation
+      complete
   in
   try
     while not (Queue.is_empty queue) do
@@ -287,123 +286,12 @@ let run_seq ?(engine = "seq") ~max_states ~keep_states ~state_key ~tables
               end)
         succs
     done;
-    finish sr ~states:(states ()) ~engine ~probabilistic:false None true
+    finish None true
   with
-  | Exit -> finish sr ~states:(states ()) ~engine ~probabilistic:false None false
-  | Found v ->
-      finish sr ~states:(states ()) ~engine ~probabilistic:false (Some v) true
+  | Exit -> finish None false
+  | Found v -> finish (Some v) true
 
-(* -------------------------- parallel engine --------------------------- *)
-
-(* Level-synchronized BFS.  The expensive per-state work — the coherence
-   check, computing all successor states by executing the controller
-   tables, and hashing each successor into its (symmetry-reduced) key —
-   runs chunk-parallel over the depth-d frontier.  The merge loop then
-   walks the expansion results in frontier order and replays exactly the
-   bookkeeping the sequential engine performs, including the frontier
-   length the FIFO queue would have had ([remaining states of this level]
-   + [successors enqueued so far]), so every counter in the result is
-   bit-identical to the sequential run. *)
-let run_par ~max_states ~keep_states ~state_key ~tables config =
-  let sr = new_search () in
-  let initial = Mstate.initial ~nodes:config.Semantics.nodes ~addrs:config.addrs in
-  let visited = Sharded.create () in
-  let parent : (string, string * string) Hashtbl.t = Hashtbl.create 4096 in
-  let initial_key = state_key initial in
-  Sharded.add visited initial_key;
-  let trace_to key =
-    let rec go key acc =
-      match Hashtbl.find_opt parent key with
-      | None -> acc
-      | Some (pkey, label) -> go pkey (label :: acc)
-    in
-    go key []
-  in
-  let states () =
-    if keep_states then Some (List.sort compare (Sharded.keys visited))
-    else None
-  in
-  try
-    let frontier = ref [| initial, initial_key |] in
-    let depth = ref 0 in
-    while Array.length !frontier > 0 do
-      let level = !frontier in
-      let expansions =
-        Par.Pool.map_array ~min_chunk:4
-          (fun (st, _key) ->
-            let violations = Semantics.state_violations config st in
-            let succs =
-              List.map
-                (fun (label, outcome) ->
-                  match outcome with
-                  | Semantics.Next st' -> label, outcome, state_key st'
-                  | Semantics.Broken _ -> label, outcome, "")
-                (Semantics.successors tables config st)
-            in
-            violations, succs, Mstate.quiescent st)
-          level
-      in
-      let next = ref [] and next_count = ref 0 in
-      Array.iteri
-        (fun i (violations, succs, quiescent) ->
-          let _, key = level.(i) in
-          if sr.s_explored >= max_states then raise Exit;
-          let frontier_len = Array.length level - i + !next_count in
-          expand_state sr ~frontier:frontier_len ~depth:!depth;
-          heartbeat sr ~max_states ~frontier:frontier_len;
-          (match violations with
-          | [] -> ()
-          | detail :: _ ->
-              raise (Found { kind = `Coherence; detail; trace = trace_to key }));
-          if succs = [] && not quiescent then
-            raise
-              (Found
-                 {
-                   kind = `Deadlock;
-                   detail = "no transition enabled but work is pending";
-                   trace = trace_to key;
-                 });
-          List.iter
-            (fun (label, outcome, key') ->
-              sr.s_transitions <- sr.s_transitions + 1;
-              match outcome with
-              | Semantics.Broken detail ->
-                  raise
-                    (Found
-                       {
-                         kind = classify detail;
-                         detail;
-                         trace = trace_to key @ [ label ];
-                       })
-              | Semantics.Next st' ->
-                  if Sharded.mem visited key' then begin
-                    sr.s_dedup_hits <- sr.s_dedup_hits + 1;
-                    Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
-                      ~a:(!depth + 1) ~b:1 ()
-                  end
-                  else begin
-                    Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
-                      ~a:(!depth + 1) ~b:0 ();
-                    Sharded.add visited key';
-                    Hashtbl.add parent key' (key, label);
-                    next := (st', key') :: !next;
-                    incr next_count
-                  end)
-            succs)
-        expansions;
-      frontier := Array.of_list (List.rev !next);
-      incr depth
-    done;
-    finish sr ~states:(states ()) ~engine:"level" ~probabilistic:false None true
-  with
-  | Exit ->
-      finish sr ~states:(states ()) ~engine:"level" ~probabilistic:false None
-        false
-  | Found v ->
-      finish sr ~states:(states ()) ~engine:"level" ~probabilistic:false
-        (Some v) true
-
-(* ------------------------ work-stealing engine ------------------------ *)
+(* -------------------- packed work-stealing engine --------------------- *)
 
 (* Glue between the controller tables and the bit-packer: seed every
    per-field dictionary with the full vocabulary that can ever reach a
@@ -438,7 +326,7 @@ let layout_of_tables tables (config : Semantics.config) =
     ()
 
 (* One-slot caches for the two per-search build steps the packed
-   engines pay before touching a single state: bucketing the rule index
+   engine pays before touching a single state: bucketing the rule index
    (~11ms over the 1156-row delivery tables) and harvesting the packed
    layout's dictionaries.  Callers that loop over [run] with the same
    tables value — the benchmarks, the differential suites, repeated CLI
@@ -470,36 +358,61 @@ let cached_layout tables config =
       layout
 
 (* Per-participant bookkeeping of the stealing engine.  Everything
-   order-free (counts, per-depth sums) merges after the join; anything
-   schedule-dependent (depths under racing discovery orders, the
-   frontier gauge) is documented as approximate in steal mode. *)
+   order-free (counts, per-depth sums) merges after the join; depths and
+   the frontier gauge are exact only on one participant. *)
 type sacc = {
   sa_self : int;
   mutable sa_explored : int;
   mutable sa_transitions : int;
   mutable sa_dedup : int;
   mutable sa_max_depth : int;
+  mutable sa_max_frontier : int;
   sa_per_depth : (int, int) Hashtbl.t;
   mutable sa_violation : violation option;
 }
 
+let state_key ~symmetry (config : Semantics.config) =
+  if symmetry then Mstate.canonical_key ~nodes:config.nodes else Mstate.key
+
+let load tables =
+  match tables with Some t -> t | None -> Semantics.load_tables ()
+
 (* The frontier never synchronizes: per-participant deques with
    randomized stealing (Par.Pool.steal_loop), dedup through the sharded
    packed visited set, and an atomic ticket counter bounding the search
-   at exactly [max_states] expansions.  On a violation the search stops
-   and — in exact mode — the boxed sequential reference engine replays
-   the whole search, so verdicts and counterexample traces are
-   bit-identical to [run_seq]; the steal path itself only ever proves
-   the *absence* of violations.  With [compact_bits] the replay is
-   skipped (the point of compaction is that the full search does not
-   fit) and the violation is reported without a trace. *)
-let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
-    ~compact_bits ~tables config =
+   at exactly [max_states] expansions.  On one participant the loop is a
+   FIFO queue, so the search is an exact BFS and every field matches the
+   boxed reference.  On a violation the search stops and — in exact mode
+   — the boxed reference replays the whole search, so verdicts and
+   counterexample traces are bit-identical to [run_seq]; the steal path
+   itself only ever proves the *absence* of violations.  With
+   [compact_bits] the replay is skipped (the point of compaction is that
+   the full search does not fit) and the violation is reported without a
+   trace. *)
+let run ?(max_states = 200_000) ?(symmetry = false) ?tables
+    ?(keep_states = false) ?compact_bits config =
+  Obs.Trace.with_span ~cat:"mcheck"
+    ~args:
+      [ "nodes", Obs.Json.Int config.Semantics.nodes;
+        "addrs", Obs.Json.Int config.Semantics.addrs;
+        "domains", Obs.Json.Int (Par.Pool.domains ()) ]
+    "mcheck.run"
+  @@ fun () ->
+  let tables = load tables in
+  let state_key = state_key ~symmetry config in
+  (* Oversubscribing stealing workers past the hardware buys nothing and
+     costs real time: every extra domain must be scheduled into each
+     stop-the-world minor collection.  The degree is capped at what the
+     machine can actually run. *)
+  let workers =
+    if Par.Pool.sequential () then 1
+    else max 1 (min (Par.Pool.domains ()) (Domain.recommended_domain_count ()))
+  in
+  let depths = workers = 1 in
   let sr = new_search () in
   let layout = cached_layout tables config in
-  (* the packed engines dispatch rules through the bucketed index —
-     same first-match row, a fraction of the guard scans; the boxed
-     reference engines keep the naive scan *)
+  (* dispatch rules through the bucketed index — same first-match row, a
+     fraction of the guard scans *)
   let tables = indexed_tables tables in
   let key_of =
     if symmetry then Pack.canonical layout else Pack.pack ?perm:None layout
@@ -536,10 +449,11 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
   ignore (Pack.Vset.add visited (key_of initial) : bool);
   let budget = Atomic.make max_states in
   let truncated = Atomic.make false in
+  (* states discovered but not yet expanded; read before each expansion
+     it is the reference's queue length (approximate when racing) *)
   let inflight = Atomic.make 1 in
-  let maxfront = Atomic.make 1 in
   let accs =
-    Par.Pool.steal_loop ?workers
+    Par.Pool.steal_loop ~workers
       ~init:(fun i ->
         {
           sa_self = i;
@@ -547,11 +461,12 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
           sa_transitions = 0;
           sa_dedup = 0;
           sa_max_depth = 0;
+          sa_max_frontier = 0;
           sa_per_depth = Hashtbl.create 64;
           sa_violation = None;
         })
       ~work:(fun acc ctl (st, depth) ->
-        Atomic.decr inflight;
+        let frontier = Atomic.fetch_and_add inflight (-1) in
         let ticket = Atomic.fetch_and_add budget (-1) in
         if ticket <= 0 then begin
           Atomic.set truncated true;
@@ -559,8 +474,9 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
         end
         else begin
           acc.sa_explored <- acc.sa_explored + 1;
+          if frontier > acc.sa_max_frontier then acc.sa_max_frontier <- frontier;
           Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:depth
-            ~b:(Atomic.get inflight) ();
+            ~b:frontier ();
           Hashtbl.replace acc.sa_per_depth depth
             (1 + Option.value (Hashtbl.find_opt acc.sa_per_depth depth) ~default:0);
           if depth > acc.sa_max_depth then acc.sa_max_depth <- depth;
@@ -569,7 +485,8 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
           if acc.sa_self = 0 then
             heartbeat_vals ~t0:sr.t0 ~max_states
               ~explored:(max_states - Atomic.get budget)
-              ~frontier:(Atomic.get inflight) ~max_depth:acc.sa_max_depth;
+              ~frontier
+              ~max_depth:(if depths then Some acc.sa_max_depth else None);
           match Semantics.state_violations config st with
           | detail :: _ ->
               acc.sa_violation <- Some { kind = `Coherence; detail; trace = [] };
@@ -607,9 +524,7 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
                               Obs.Flightrec.record
                                 ~tag:Obs.Flightrec.tag_dedup ~a:(depth + 1)
                                 ~b:0 ();
-                              let n = Atomic.fetch_and_add inflight 1 + 1 in
-                              if n > Atomic.get maxfront then
-                                Atomic.set maxfront n;
+                              Atomic.incr inflight;
                               ctl.Par.Pool.push (st', depth + 1)
                             end
                             else begin
@@ -629,9 +544,12 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
   in
   match violation with
   | Some _ when compact_bits = None ->
-      (* exact mode: replay through the boxed reference engine for the
+      (* exact mode: replay through the boxed reference for the
          bit-identical verdict and counterexample trace *)
-      let r = run_seq ~engine ~max_states ~keep_states ~state_key ~tables config in
+      let r =
+        run_seq ~engine:"steal" ~max_states ~keep_states ~state_key ~tables
+          config
+      in
       if r.violation <> None then r
       else
         (* the bounded replay visited a different subset and missed it:
@@ -643,16 +561,15 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
           sr.s_explored <- sr.s_explored + a.sa_explored;
           sr.s_transitions <- sr.s_transitions + a.sa_transitions;
           sr.s_dedup_hits <- sr.s_dedup_hits + a.sa_dedup;
-          if a.sa_max_depth > sr.s_max_depth then
-            sr.s_max_depth <- a.sa_max_depth;
+          sr.s_max_depth <- max sr.s_max_depth a.sa_max_depth;
+          sr.s_max_frontier <- max sr.s_max_frontier a.sa_max_frontier;
           Hashtbl.iter
             (fun d n ->
               Hashtbl.replace sr.s_per_depth d
                 (n + Option.value (Hashtbl.find_opt sr.s_per_depth d) ~default:0))
             a.sa_per_depth)
         accs;
-      sr.s_max_frontier <- Atomic.get maxfront;
-      if Obs.Config.on () then
+      if depths && Obs.Config.on () then
         Hashtbl.iter
           (fun d n ->
             for _ = 1 to n do
@@ -669,55 +586,23 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
         else None
       in
       let complete = not (Atomic.get truncated) in
-      finish sr ~states ~engine ~probabilistic:(compact_bits <> None) violation
-        complete
+      finish sr ~states ~engine:"steal" ~probabilistic:(compact_bits <> None)
+        ~depths violation complete
 
-let run ?(max_states = 200_000) ?(symmetry = false) ?tables
-    ?(keep_states = false) ?(engine = `Auto) ?compact_bits config =
-  Obs.Trace.with_span ~cat:"mcheck"
-    ~args:
-      [ "nodes", Obs.Json.Int config.Semantics.nodes;
-        "addrs", Obs.Json.Int config.Semantics.addrs;
-        "domains", Obs.Json.Int (Par.Pool.domains ()) ]
-    "mcheck.run"
-  @@ fun () ->
-  let tables = match tables with Some t -> t | None -> Semantics.load_tables () in
-  let state_key =
-    if symmetry then Mstate.canonical_key ~nodes:config.Semantics.nodes
-    else Mstate.key
-  in
-  let steal ?workers engine =
-    run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
-      ~compact_bits ~tables config
-  in
-  match engine with
-  | `Seq -> run_seq ~max_states ~keep_states ~state_key ~tables config
-  | `Seq_packed -> steal ~workers:1 "seq-packed"
-  | `Level ->
-      if Par.Pool.sequential () then
-        run_seq ~max_states ~keep_states ~state_key ~tables config
-      else run_par ~max_states ~keep_states ~state_key ~tables config
-  | `Steal -> steal "steal"
-  | `Auto ->
-      (* Oversubscribing stealing workers past the hardware buys nothing
-         and costs real time: every extra domain must be scheduled into
-         each stop-the-world minor collection.  Auto caps the degree at
-         what the machine can actually run; an explicit `Steal keeps the
-         requested degree (tests rely on that to exercise genuinely
-         concurrent stealing even on small machines). *)
-      let workers =
-        max 1 (min (Par.Pool.domains ()) (Domain.recommended_domain_count ()))
-      in
-      if compact_bits <> None then steal ~workers "steal"
-      else if Par.Pool.sequential () then
-        run_seq ~max_states ~keep_states ~state_key ~tables config
-      else steal ~workers "steal"
+let run_reference ?(max_states = 200_000) ?(symmetry = false) ?tables
+    ?(keep_states = false) config =
+  run_seq ~engine:"seq" ~max_states ~keep_states
+    ~state_key:(state_key ~symmetry config) ~tables:(load tables) config
 
 let pp_result fmt r =
   Format.fprintf fmt
-    "states=%d transitions=%d depth=%d time=%.2fs cpu=%.2fs (%.0f states/s, \
-     dedup %.0f%%) engine=%s%s %s"
-    r.explored r.transitions r.max_depth r.elapsed r.cpu_s (states_per_sec r)
+    "states=%d transitions=%d%s time=%.2fs cpu=%.2fs (%.0f states/s, dedup \
+     %.0f%%) engine=%s%s %s"
+    r.explored r.transitions
+    (match r.max_depth with
+    | Some d -> Printf.sprintf " depth=%d" d
+    | None -> "")
+    r.elapsed r.cpu_s (states_per_sec r)
     (100. *. dedup_rate r)
     r.engine
     (if r.probabilistic then " (probabilistic)" else "")
@@ -728,12 +613,17 @@ let pp_result fmt r =
           (List.length v.trace))
 
 let pp_depth_profile fmt r =
-  Format.fprintf fmt "depth histogram (states expanded per BFS depth):@.";
-  let widest =
-    List.fold_left (fun acc (_, n) -> max acc n) 1 r.per_depth
-  in
-  List.iter
-    (fun (depth, n) ->
-      let bar = max 1 (n * 40 / widest) in
-      Format.fprintf fmt "  %3d %8d %s@." depth n (String.make bar '#'))
-    r.per_depth
+  match r.max_depth with
+  | None ->
+      Format.fprintf fmt
+        "depth histogram unavailable: the search ran on several domains, \
+         where discovery depth is not BFS depth; rerun with one domain \
+         (ASURA_DOMAINS=1).@."
+  | Some _ ->
+      Format.fprintf fmt "depth histogram (states expanded per BFS depth):@.";
+      let widest = List.fold_left (fun acc (_, n) -> max acc n) 1 r.per_depth in
+      List.iter
+        (fun (depth, n) ->
+          let bar = max 1 (n * 40 / widest) in
+          Format.fprintf fmt "  %3d %8d %s@." depth n (String.make bar '#'))
+        r.per_depth

@@ -10,10 +10,10 @@ open Mstate
    the original priority order, exactly the rules that can match a
    binding carrying that value — rules that leave the column
    unconstrained appear in every bucket — so first-match evaluation over
-   a bucket returns the same row as a scan of the full list.  The
-   reference engines never build the index; the packed engines do, which
-   turns the per-delivery O(|table|) guard scan into a scan of a few
-   candidate rows. *)
+   a bucket returns the same row as a scan of the full list.  The boxed
+   reference search never builds the index; the packed engine does,
+   which turns the per-delivery O(|table|) guard scan into a scan of a
+   few candidate rows. *)
 type rule_index =
   | Flat of Mapping.Codegen.rule list
   | Split of {
@@ -573,7 +573,7 @@ let successors ?(labels = true) tables config st =
   (* Label rendering is a real fraction of the per-state cost (several
      Printf.sprintf per expansion).  The boxed reference engine needs
      the labels — it stores one per visited state for counterexample
-     traces — but the packed engines reconstruct traces by sequential
+     traces — but the packed engine reconstructs traces by sequential
      replay and pass [~labels:false] to skip the rendering entirely. *)
   let lbl f = if labels then f () else "" in
   let io_op op = List.mem op [ "ioload"; "iostore"; "iormwop" ] in

@@ -23,7 +23,7 @@ val index_tables : tables -> tables
     candidates instead of the whole table.  First-match semantics —
     including the matched row recorded in the coverage bitmaps — are
     exactly those of the unindexed rules; the packed exploration
-    engines run on indexed tables while the boxed reference engine
+    engine runs on indexed tables while the boxed reference search
     keeps the naive scan the differential suite trusts. *)
 
 type config = {

@@ -89,20 +89,22 @@ let test_order_free_determinism () =
     { Mcheck.Semantics.nodes = 2; addrs = 1; ops = [ "load"; "store" ];
       capacity = 1; io_addrs = []; lossy = false }
   in
-  ignore (Lazy.force mcheck_tables);
+  let tables = Lazy.force mcheck_tables in
   with_recorder ~capacity:(1 lsl 16) (fun () ->
-      let go engine d =
+      let go search d =
         Par.Pool.with_domains d (fun () ->
             Obs.Flightrec.reset ();
-            let r =
-              Mcheck.Explore.run ~max_states:50_000 ~engine
-                ~tables:(Lazy.force mcheck_tables) cfg
-            in
+            let r = search () in
             Alcotest.(check bool) "search is complete" true
               r.Mcheck.Explore.complete;
             observe_events ())
       in
-      let reference = go `Seq 1 in
+      let reference =
+        go
+          (fun () ->
+            Mcheck.Explore.run_reference ~max_states:50_000 ~tables cfg)
+          1
+      in
       let counts, fires = reference in
       Alcotest.(check bool) "reference recorded expansions and firings" true
         (counts <> [] && fires <> []);
@@ -112,7 +114,8 @@ let test_order_free_determinism () =
             (Printf.sprintf
                "steal event projections match the reference at %d domains" d)
             true
-            (go `Steal d = reference))
+            (go (fun () -> Mcheck.Explore.run ~max_states:50_000 ~tables cfg) d
+            = reference))
         domains_swept)
 
 (* --------------------------- escape hatch ----------------------------- *)

@@ -203,16 +203,15 @@ let test_bounded_search_reports_incomplete () =
 
 (* [elapsed] is wall-clock time: with two domains expanding, the CPU
    time summed across them may exceed it, but [elapsed] never exceeds the
-   caller's own wall-clock bracket around the run. *)
+   caller's own wall-clock bracket around the run.  Checked for the
+   packed engine and the boxed reference. *)
 let test_elapsed_is_wall_clock () =
+  let cfg = config [ "load"; "store" ] in
   Par.Pool.with_domains 2 (fun () ->
       List.iter
-        (fun engine ->
+        (fun search ->
           let t0 = Obs.Clock.now_ns () in
-          let r =
-            Explore.run ~engine ~max_states:20_000 ~tables:(Lazy.force tables)
-              (config [ "load"; "store" ])
-          in
+          let r = search () in
           let wall = Obs.Clock.to_s (Obs.Clock.since t0) in
           check "elapsed within the caller's wall bracket" true
             (r.Explore.elapsed > 0. && r.Explore.elapsed <= wall);
@@ -220,7 +219,44 @@ let test_elapsed_is_wall_clock () =
           check "states/s is per wall second" true
             (Explore.states_per_sec r
             >= float_of_int r.Explore.explored /. wall))
-        [ `Steal; `Level ])
+        [
+          (fun () ->
+            Explore.run ~max_states:20_000 ~tables:(Lazy.force tables) cfg);
+          (fun () ->
+            Explore.run_reference ~max_states:20_000
+              ~tables:(Lazy.force tables) cfg);
+        ])
+
+(* Depth is BFS depth only when one participant expands states in FIFO
+   order.  On several racing participants it would be a discovery depth
+   (readings of 2,000+ against a true depth of 59 on the 3-node search),
+   so the result, the summary line and the profile leave it out. *)
+let test_depth_only_on_one_domain () =
+  let cfg = config [ "load"; "store" ] in
+  let reference = Explore.run_reference ~tables:(Lazy.force tables) cfg in
+  let one = Par.Pool.with_domains 1 (fun () -> run cfg) in
+  check "reference reports a depth" true (reference.Explore.max_depth <> None);
+  check "one domain: max_depth equals the reference's" true
+    (one.Explore.max_depth = reference.Explore.max_depth);
+  check "one domain: per_depth equals the reference's" true
+    (one.Explore.per_depth = reference.Explore.per_depth);
+  (* two participants need two cores: the degree is capped at the
+     hardware, and a capped search is a one-participant BFS again *)
+  if Domain.recommended_domain_count () >= 2 then begin
+    let two = Par.Pool.with_domains 2 (fun () -> run cfg) in
+    check "two domains: no max_depth" true (two.Explore.max_depth = None);
+    check "two domains: no per_depth" true (two.Explore.per_depth = []);
+    check "two domains: same state count" true
+      (two.Explore.explored = reference.Explore.explored);
+    let words =
+      String.split_on_char ' ' (Format.asprintf "%a" Explore.pp_result two)
+    in
+    check "no depth= in the summary" false
+      (List.exists (String.starts_with ~prefix:"depth=") words);
+    let profile = Format.asprintf "%a" Explore.pp_depth_profile two in
+    check "profile asks for one domain" true
+      (String.starts_with ~prefix:"depth histogram unavailable" profile)
+  end
 
 let suite =
   [
@@ -242,4 +278,6 @@ let suite =
     Alcotest.test_case "bounded search reports incomplete" `Quick test_bounded_search_reports_incomplete;
     Alcotest.test_case "elapsed is wall clock at 2 domains" `Quick
       test_elapsed_is_wall_clock;
+    Alcotest.test_case "depth reported only on one domain" `Quick
+      test_depth_only_on_one_domain;
   ]

@@ -327,6 +327,18 @@ let prop_deadlock_diff =
 
 let mcheck_tables = lazy (Mcheck.Semantics.load_tables ())
 
+(* The production search and the boxed oracle at one first-class type. *)
+type search =
+  ?max_states:int ->
+  ?symmetry:bool ->
+  ?tables:Mcheck.Semantics.tables ->
+  ?keep_states:bool ->
+  Mcheck.Semantics.config ->
+  Mcheck.Explore.result
+
+let packed : search = Mcheck.Explore.run ?compact_bits:None
+let boxed : search = Mcheck.Explore.run_reference
+
 let mcheck_case_gen =
   QCheck.Gen.(
     let* ops = nonempty_sublist_gen [ "load"; "store" ] in
@@ -346,26 +358,30 @@ let observe_mcheck (r : Mcheck.Explore.result) =
   ( r.explored, r.transitions, r.max_depth, r.violation, r.complete,
     r.dedup_hits, r.per_depth, r.max_frontier, r.states )
 
-(* The level-synchronized engine replays sequential bookkeeping exactly,
-   so EVERY field — including the schedule-sensitive per_depth /
-   max_depth / max_frontier — must match at any domain count, even on
-   truncated searches.  Pinned to [`Level]: the default engine is now the
-   work-stealing core, whose contract is the weaker order-free one
-   checked below. *)
+let print_mcheck_case (cfg, max_states, symmetry) =
+  Printf.sprintf "ops=[%s] capacity=%d max_states=%d symmetry=%b"
+    (String.concat ";" cfg.Mcheck.Semantics.ops)
+    cfg.Mcheck.Semantics.capacity max_states symmetry
+
+(* On one domain the stealing loop is a FIFO queue, so the packed engine
+   is an exact BFS: EVERY field — including per_depth / max_depth /
+   max_frontier — must equal the boxed reference's, even on truncated
+   searches. *)
 let prop_mcheck_diff =
   QCheck.Test.make ~count:500
     ~name:
-      "model-checker verdict and reachable-state set identical across 1/2/4 \
-       domains"
-    (QCheck.make mcheck_case_gen ~print:(fun (cfg, max_states, symmetry) ->
-         Printf.sprintf "ops=[%s] capacity=%d max_states=%d symmetry=%b"
-           (String.concat ";" cfg.Mcheck.Semantics.ops)
-           cfg.Mcheck.Semantics.capacity max_states symmetry))
+      "model-checker verdict and every result field: packed engine at 1 \
+       domain equals the boxed reference"
+    (QCheck.make mcheck_case_gen ~print:print_mcheck_case)
     (fun (cfg, max_states, symmetry) ->
-      agree (fun () ->
-          observe_mcheck
-            (Mcheck.Explore.run ~max_states ~symmetry ~engine:`Level
-               ~tables:(Lazy.force mcheck_tables) ~keep_states:true cfg)))
+      let go (run : search) =
+        observe_mcheck
+          (run ~max_states ~symmetry ~tables:(Lazy.force mcheck_tables)
+             ~keep_states:true cfg)
+      in
+      Par.Pool.with_domains 1 (fun () ->
+          go packed
+          = go boxed))
 
 (* ---------------- packed / work-stealing differential ----------------- *)
 
@@ -374,7 +390,8 @@ let prop_mcheck_diff =
    every visited state is expanded exactly once in any schedule, making
    the reachable set, explored / transitions / dedup totals, the verdict
    and the coverage bitmaps schedule-independent.  per_depth, max_depth
-   and max_frontier are not, and are deliberately left out. *)
+   and max_frontier are not (several participants omit the depths), and
+   are deliberately left out. *)
 let observe_order_free (r : Mcheck.Explore.result) =
   (r.explored, r.transitions, r.dedup_hits, r.violation, r.complete, r.states)
 
@@ -398,21 +415,23 @@ let print_steal_case (cfg, symmetry) =
 let prop_mcheck_steal_diff =
   QCheck.Test.make ~count:40
     ~name:
-      "packed engines (seq-packed, steal at 1/2/4 domains) match the boxed \
-       reference on complete searches"
+      "packed engine (steal at 1/2/4 domains) matches the boxed reference on \
+       complete searches"
     (QCheck.make steal_case_gen ~print:print_steal_case)
     (fun (cfg, symmetry) ->
-      let go engine =
+      let go (run : search) =
         observe_order_free
-          (Mcheck.Explore.run ~max_states:50_000 ~symmetry ~engine
-             ~tables:(Lazy.force mcheck_tables) ~keep_states:true cfg)
+          (run ~max_states:50_000 ~symmetry ~tables:(Lazy.force mcheck_tables)
+             ~keep_states:true cfg)
       in
-      let reference = Par.Pool.with_domains 1 (fun () -> go `Seq) in
+      let reference = go boxed in
       let _, _, _, _, complete, _ = reference in
       complete
-      && Par.Pool.with_domains 1 (fun () -> go `Seq_packed) = reference
       && List.for_all
-           (fun d -> Par.Pool.with_domains d (fun () -> go `Steal) = reference)
+           (fun d ->
+             Par.Pool.with_domains d (fun () ->
+                 go packed)
+             = reference)
            domains_swept)
 
 (* Truncated searches visit a schedule-dependent SUBSET, but the atomic
@@ -421,43 +440,41 @@ let prop_mcheck_steal_diff =
 let prop_mcheck_steal_bounded =
   QCheck.Test.make ~count:100
     ~name:"bounded steal search expands exactly max_states at 1/2/4 domains"
-    (QCheck.make mcheck_case_gen ~print:(fun (cfg, max_states, symmetry) ->
-         Printf.sprintf "ops=[%s] capacity=%d max_states=%d symmetry=%b"
-           (String.concat ";" cfg.Mcheck.Semantics.ops)
-           cfg.Mcheck.Semantics.capacity max_states symmetry))
+    (QCheck.make mcheck_case_gen ~print:print_mcheck_case)
     (fun (cfg, max_states, symmetry) ->
-      let go engine =
+      let go (run : search) =
         let r =
-          Mcheck.Explore.run ~max_states ~symmetry ~engine
-            ~tables:(Lazy.force mcheck_tables) cfg
+          run ~max_states ~symmetry ~tables:(Lazy.force mcheck_tables) cfg
         in
         r.Mcheck.Explore.explored, r.Mcheck.Explore.complete
       in
-      let reference = Par.Pool.with_domains 1 (fun () -> go `Seq) in
+      let reference = go boxed in
       List.for_all
-        (fun d -> Par.Pool.with_domains d (fun () -> go `Steal) = reference)
+        (fun d ->
+          Par.Pool.with_domains d (fun () ->
+              go packed)
+          = reference)
         domains_swept)
 
 (* Coverage is recorded from inside worker domains and OR-merged; the
-   merged bitmaps must be byte-identical to the sequential engine's. *)
+   merged bitmaps must be byte-identical to the boxed reference's. *)
 let test_steal_coverage_matches_seq () =
   let cfg =
     { Mcheck.Semantics.nodes = 2; addrs = 1; ops = [ "load"; "store" ];
       capacity = 2; io_addrs = []; lossy = false }
   in
-  let snap engine d =
+  let snap (run : search) d =
     Par.Pool.with_domains d (fun () ->
         Obs.Coverage.reset ();
         ignore
-          (Mcheck.Explore.run ~max_states:50_000 ~engine
-             ~tables:(Lazy.force mcheck_tables) cfg);
+          (run ~max_states:50_000 ~tables:(Lazy.force mcheck_tables) cfg);
         List.map
           (fun (tc : Obs.Coverage.table_coverage) ->
             tc.name, tc.rows, tc.covered, Bytes.to_string tc.bitmap)
           (Obs.Coverage.snapshot ()))
   in
   Obs.Coverage.with_enabled (fun () ->
-      let reference = snap `Seq 1 in
+      let reference = snap boxed 1 in
       Alcotest.(check bool)
         "sequential run covered something" true
         (List.exists (fun (_, _, covered, _) -> covered > 0) reference);
@@ -466,7 +483,7 @@ let test_steal_coverage_matches_seq () =
           Alcotest.(check bool)
             (Printf.sprintf "steal coverage bitmaps at %d domains" d)
             true
-            (snap `Steal d = reference))
+            (snap packed d = reference))
         domains_swept;
       Obs.Coverage.reset ())
 
@@ -484,19 +501,18 @@ let test_steal_seeded_bug_matches_seq () =
     { Mcheck.Semantics.nodes = 3; addrs = 1; ops = [ "load"; "store" ];
       capacity = 3; io_addrs = []; lossy = false }
   in
-  let viol engine d =
+  let viol (run : search) d =
     Par.Pool.with_domains d (fun () ->
-        (Mcheck.Explore.run ~max_states:200_000 ~engine ~tables:tables' cfg)
-          .Mcheck.Explore.violation)
+        (run ~max_states:200_000 ~tables:tables' cfg).Mcheck.Explore.violation)
   in
-  match viol `Seq 1 with
+  match viol boxed 1 with
   | None -> Alcotest.fail "seeded hang not found by the reference engine"
   | Some v ->
       Alcotest.(check bool) "reference has a trace" true (v.trace <> []);
       let msc = Sim.Msc.render_run v.Mcheck.Explore.trace in
       List.iter
         (fun d ->
-          match viol `Steal d with
+          match viol packed d with
           | None ->
               Alcotest.fail
                 (Printf.sprintf "steal at %d domains missed the seeded hang" d)
@@ -549,10 +565,10 @@ let test_figure4_witness_packs () =
        (Mcheck.Pack.canonical layout wedged)
        (Mcheck.Pack.canonical layout wedged))
 
-(* The deadlock-V-vc4 seq/par regression root cause: the old level engine
-   paid a Domain.spawn per BFS level.  Workers are resident now — once
-   the pool is warm, repeated multi-level searches on ANY engine must not
-   spawn a single additional domain. *)
+(* The deadlock-V-vc4 seq/par regression root cause: the old
+   level-synchronized engine paid a Domain.spawn per BFS level.  Workers
+   are resident now — once the pool is warm, repeated multi-level
+   searches must not spawn a single additional domain. *)
 let test_pool_spawns_no_new_domains () =
   let cfg =
     { Mcheck.Semantics.nodes = 2; addrs = 1; ops = [ "load"; "store" ];
@@ -564,12 +580,9 @@ let test_pool_spawns_no_new_domains () =
       ignore (Par.Pool.map_list ~min_chunk:1 Fun.id (List.init 512 Fun.id));
       let before = Obs.Metrics.aggregate "spawn" in
       for _ = 1 to 3 do
-        List.iter
-          (fun engine ->
-            ignore
-              (Mcheck.Explore.run ~max_states:2_000 ~engine
-                 ~tables:(Lazy.force mcheck_tables) cfg))
-          [ `Level; `Steal ]
+        ignore
+          (Mcheck.Explore.run ~max_states:2_000
+             ~tables:(Lazy.force mcheck_tables) cfg)
       done;
       Alcotest.(check int)
         "no extra Domain.spawn across repeated multi-level searches" 0
