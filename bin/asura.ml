@@ -638,28 +638,35 @@ let runs_arg =
            $(b,sys.plans), $(b,sys.plan_ops)) built from the run manifests \
            and bench snapshots under $(docv).")
 
-(* Execute one statement with every engine error rendered as a clean
-   diagnostic (exit 2) instead of an uncaught exception.  Writes are
+(* Run [f] with every engine error rendered as a clean diagnostic
+   prefixed by the subcommand name (exit 2) instead of an uncaught
+   exception. *)
+let with_sql_errors cmd f =
+  match f () with
+  | v -> v
+  | exception Relalg.Sql_parser.Parse_error msg
+  | exception Relalg.Sql_exec.Exec_error msg ->
+      Printf.eprintf "%s: %s\n" cmd msg;
+      exit 2
+  | exception Relalg.Sql_lexer.Lex_error { pos; message } ->
+      Printf.eprintf "%s: at offset %d: %s\n" cmd pos message;
+      exit 2
+  | exception Relalg.Database.Unknown_table t ->
+      Printf.eprintf "%s: unknown table %s\n" cmd t;
+      exit 2
+  | exception Relalg.Schema.Unknown_column c ->
+      Printf.eprintf "%s: unknown column %s\n" cmd c;
+      exit 2
+
+(* Execute one statement with engine errors as diagnostics.  Writes are
    executed but the resulting catalog is ephemeral — the CLI's value is
    that CREATE/INSERT/DROP statements are validated, including the
    reserved-sys. rejection. *)
 let run_statement db q =
+  with_sql_errors "sql" @@ fun () ->
   match Relalg.Sql_exec.exec db q with
   | _, Some t -> print_string (Relalg.Table.to_string t)
   | _, None -> ()
-  | exception Relalg.Sql_parser.Parse_error msg
-  | exception Relalg.Sql_exec.Exec_error msg ->
-      Printf.eprintf "sql: %s\n" msg;
-      exit 2
-  | exception Relalg.Sql_lexer.Lex_error { pos; message } ->
-      Printf.eprintf "sql: at offset %d: %s\n" pos message;
-      exit 2
-  | exception Relalg.Database.Unknown_table t ->
-      Printf.eprintf "sql: unknown table %s\n" t;
-      exit 2
-  | exception Relalg.Schema.Unknown_column c ->
-      Printf.eprintf "sql: unknown column %s\n" c;
-      exit 2
 
 (* -------------------------------- sql -------------------------------- *)
 
@@ -1084,7 +1091,7 @@ let report_cmd =
           ~doc:
             "Run manifests (asura-run/1), bench snapshots (asura-bench/*), \
              table profiles (asura-stats/1) or EXPLAIN ANALYZE output \
-             (asura-explain/1).")
+             (asura-explain/2, or /1 from older builds).")
   in
   let json =
     Arg.(
@@ -1251,9 +1258,9 @@ let explain_cmd =
       & info [ "analyze" ]
           ~doc:
             "Actually execute the query against the controller-table \
-             database and print per-operator rows in/out, \
-             materialized-vs-streamed output, storage bytes, dictionary \
-             hit rates and wall-clock timings (EXPLAIN ANALYZE).")
+             database and print, per operator, the estimated and actual \
+             output rows, the cost estimate and (with $(b,--json)) wall \
+             time and batch counts (EXPLAIN ANALYZE).")
   in
   let index =
     Arg.(
@@ -1261,8 +1268,9 @@ let explain_cmd =
       & opt_all (pair ~sep:'.' string string) []
       & info [ "index" ] ~docv:"TABLE.COLUMN"
           ~doc:
-            "With $(b,--analyze): declare a hash index, enabling the \
-             index-lookup access path.  Repeatable.")
+            "Build a hash index on $(docv), so an equality filter on that \
+             column plans as an index scan.  Repeatable; an unknown \
+             table or column is an error (exit 2).")
   in
   let json =
     Arg.(
@@ -1273,42 +1281,31 @@ let explain_cmd =
              JSON object instead of text.")
   in
   let run () query analyze indexes json_flag =
+    if json_flag && not analyze then begin
+      prerr_endline "explain: --json requires --analyze";
+      exit 2
+    end;
+    with_sql_errors "explain" @@ fun () ->
+    let db = Protocol.database () in
+    let indexes =
+      List.map
+        (fun (t, c) -> Relalg.Index.build (Relalg.Database.find db t) c)
+        indexes
+    in
     if analyze then begin
-      let db = Protocol.database () in
-      (* --index forces the reference physical engine (the planner has
-         no index access paths); otherwise the cost-based planner runs
-         the vectorized engine and reports estimated vs. actual rows *)
-      if Relalg.Planner.active () && indexes = [] then begin
-        let r = Relalg.Planner.analyze db query in
-        if json_flag then
-          print_endline (Obs.Json.to_string (Relalg.Planner.to_json r))
-        else
-          Printf.printf "planner (est vs actual):\n%s"
-            (Relalg.Planner.render_report r)
-      end
-      else begin
-        let store = Relalg.Physical.make_store db in
-        let r = Relalg.Analyze.run ~indexes store query in
-        if json_flag then
-          print_endline (Obs.Json.to_string (Relalg.Analyze.to_json r))
-        else
-          Printf.printf "physical plan:\n%s\nexecution:\n%s"
-            (Relalg.Physical.explain r.Relalg.Analyze.physical)
-            (Relalg.Analyze.render r)
-      end
+      let r = Relalg.Planner.analyze ~indexes db query in
+      if json_flag then
+        print_endline (Obs.Json.to_string (Relalg.Planner.to_json r))
+      else
+        Printf.printf "planner (est vs actual):\n%s"
+          (Relalg.Planner.render_report r)
     end
     else begin
-      if json_flag then begin
-        prerr_endline "explain: --json requires --analyze";
-        exit 2
-      end;
       let plan = Relalg.Plan.of_query (Relalg.Sql_parser.parse_query query) in
-      Printf.printf "plan:\n%s\noptimized:\n%s"
-        (Relalg.Plan.explain plan)
+      let costed = Relalg.Planner.explain ~indexes db query in
+      Printf.printf "plan:\n%s\noptimized:\n%s" (Relalg.Plan.explain plan)
         (Relalg.Plan.explain (Relalg.Plan.optimize plan));
-      if Relalg.Planner.active () then
-        Printf.printf "cost-based (est rows, cumulative cost):\n%s"
-          (Relalg.Planner.explain (Protocol.database ()) query)
+      Printf.printf "cost-based (est rows, cumulative cost):\n%s" costed
     end
   in
   Cmd.v

@@ -17,7 +17,7 @@ let join_side db side =
   let on = List.map (fun c -> c, c) Extend.input_columns in
   match tables with
   | [] -> invalid_arg "Reconstruct.join_side"
-  | first :: rest -> List.fold_left (fun acc t -> Ops.equi_join ~on acc t) first rest
+  | first :: rest -> List.fold_left (fun acc t -> Planner.equi_join ~on acc t) first rest
 
 let reconstruct db =
   let request = join_side db `Request and response = join_side db `Response in
@@ -55,7 +55,7 @@ let check ?db () =
   let d = Protocol.Dir_controller.table () in
   let d_cols = Schema.columns (Table.schema d) in
   let projected =
-    Table.distinct (Ops.project d_cols (Ops.select unblocked rebuilt_ed))
+    Planner.distinct (Ops.project d_cols (Planner.select unblocked rebuilt_ed))
   in
   let d_preserved = Table.subset d projected in
   let missing_rows =

@@ -262,40 +262,12 @@ let map_chunks ?min_chunk f a =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let map_array ?min_chunk f a =
-  let d = degree ?min_chunk (Array.length a) in
-  if d <= 1 then Array.map f a
-  else
-    let parts = map_chunks ?min_chunk (Array.map f) a in
-    timed_merge (fun () -> Array.concat (Array.to_list parts))
-
 let map_list ?min_chunk f l =
   let d = degree ?min_chunk (List.length l) in
   if d <= 1 then List.map f l
   else
-    Array.to_list (map_array ?min_chunk f (Array.of_list l))
-
-let concat_map_list ?min_chunk f l =
-  let d = degree ?min_chunk (List.length l) in
-  if d <= 1 then List.concat_map f l
-  else
-    let parts =
-      map_chunks ?min_chunk
-        (fun chunk -> List.concat_map f (Array.to_list chunk))
-        (Array.of_list l)
-    in
-    timed_merge (fun () -> List.concat (Array.to_list parts))
-
-let filter_list ?min_chunk p l =
-  let d = degree ?min_chunk (List.length l) in
-  if d <= 1 then List.filter p l
-  else
-    let parts =
-      map_chunks ?min_chunk
-        (fun chunk -> List.filter p (Array.to_list chunk))
-        (Array.of_list l)
-    in
-    timed_merge (fun () -> List.concat (Array.to_list parts))
+    let parts = map_chunks ?min_chunk (Array.map f) (Array.of_list l) in
+    timed_merge (fun () -> Array.to_list (Array.concat (Array.to_list parts)))
 
 (* --------------------------- work stealing ---------------------------
 
@@ -497,13 +469,3 @@ let steal_loop (type job acc) ?workers ~(init : int -> acc)
     run_chunks (Array.init w participant);
     accs
   end
-
-let map_reduce ?min_chunk ~map ~merge ~init a =
-  let parts =
-    map_chunks ?min_chunk
-      (fun chunk ->
-        Array.fold_left (fun acc x -> merge acc (map x)) init chunk)
-      a
-  in
-  if Array.length parts = 1 then parts.(0)
-  else Array.fold_left merge init parts

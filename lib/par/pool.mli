@@ -4,15 +4,14 @@
     pruning, pairwise composition, breadth-first reachability — and those
     kernels split into independent chunks whose results only need to be
     concatenated back in chunk order.  This module provides exactly that:
-    chunked parallel map / map-reduce over arrays and lists with a
-    {e deterministic merge order}, so the parallel result is structurally
-    identical to the sequential one, element for element.
+    chunked parallel maps over arrays and lists with a {e deterministic
+    merge order}, so the parallel result is structurally identical to the
+    sequential one, element for element, plus a work-stealing loop.
 
     Worker domains are spawned lazily on first use and then persist,
     blocked on a condition variable, so a long run pays the spawn cost
     once.  With [domains () <= 1] every entry point falls back to the
-    plain [Stdlib] sequential implementation ([List.map],
-    [List.concat_map], …), making the sequential path byte-identical to a
+    plain [Stdlib] sequential implementation ([List.map], …), making the sequential path byte-identical to a
     build without this module.
 
     Determinism contract: callers must pass chunk functions that are pure
@@ -73,17 +72,8 @@ val map_chunks : ?min_chunk:int -> ('a array -> 'b) -> 'a array -> 'b array
     results in chunk order.  With one chunk this is [[| f input |]] run in
     the calling domain. *)
 
-val map_array : ?min_chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] with index-aligned (deterministic) output. *)
-
 val map_list : ?min_chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map], preserving order. *)
-
-val concat_map_list : ?min_chunk:int -> ('a -> 'b list) -> 'a list -> 'b list
-(** Parallel [List.concat_map], preserving order. *)
-
-val filter_list : ?min_chunk:int -> ('a -> bool) -> 'a list -> 'a list
-(** Parallel [List.filter], preserving order. *)
 
 type 'job ctl = { push : 'job -> unit; stop : unit -> unit }
 (** Handle given to {!steal_loop} work functions: [push] enqueues a new
@@ -115,15 +105,3 @@ val steal_loop :
     order.  Participants are ordinary pool jobs, so the resident worker
     domains are reused ("spawn" counter in the ["par"] registry counts
     every [Domain.spawn]). *)
-
-val map_reduce :
-  ?min_chunk:int ->
-  map:('a -> 'b) ->
-  merge:('b -> 'b -> 'b) ->
-  init:'b ->
-  'a array ->
-  'b
-(** Each chunk folds [merge acc (map x)] left-to-right from [init]; chunk
-    results are then merged left-to-right in chunk order.  Equal to the
-    sequential fold whenever [merge] is associative with [init] as a left
-    identity. *)

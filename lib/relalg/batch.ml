@@ -6,8 +6,13 @@
    distinct, sort) drain their input and index rows by *combined integer
    keys* — a dense array when the key domain (product of dictionary
    sizes) is small, open addressing with per-column code comparison
-   otherwise — instead of the polymorphic [int array]-keyed hash tables
-   of the row-at-a-time reference path in {!Ops}. *)
+   otherwise.
+
+   Lineage rides along as one more int vector: when the table a stream
+   starts from is tracked, every batch also carries the row ids (indices
+   into that table) of its rows, and materialization gathers the table's
+   {!Lineage.row}s by them.  Untracked streams carry no id vector and
+   their loops never look at one. *)
 
 let batch_rows = 1024
 
@@ -22,6 +27,11 @@ type source = {
          that re-batch, the full cardinality for borrowed table scans —
          consumers size their gather buffers to this *)
   pull : unit -> int;  (* rows in the next batch; -1 when exhausted *)
+  lineage : Lineage.row array option;
+      (* lineage of the table the stream started from, when tracked *)
+  ids : int array;
+      (* stable buffer: row [i] of the current batch is row [ids.(i)] of
+         that table; [||], and never read, when [lineage] is [None] *)
 }
 
 let schema s = s.schema
@@ -40,21 +50,23 @@ let word_bytes = Sys.word_size / 8
 
 (* ------------------------------ sources ------------------------------ *)
 
-(* A table scan consumes entire stored columns with no selection vector,
-   so there is nothing to re-batch: hand out the table's own code
-   buffers (immutable by {!Table.codes}' contract) as one full-width
-   batch instead of blitting [batch_rows]-sized windows.  Downstream
-   operators bind buffers once before the first pull either way. *)
-let of_table t =
+(* A table's rows carry lineage when it already has some or tracking is
+   on (then a base table gets its identity lineage), as in {!Table}. *)
+let tracked_lineage t =
+  if Table.lineage t <> None || Lineage.tracking () then
+    Some (Table.lineage_rows t)
+  else None
+
+(* One batch of [n] rows over [cols], emitted on the first pull. *)
+let one_batch t ~cols ~ids ~n ~counter =
   let arity = Table.arity t in
-  let n = Table.cardinality t in
-  let cols = Array.init arity (Table.codes t) in
+  let lineage = tracked_lineage t in
   let spent = ref false in
   let pull () =
     if !spent then -1
     else begin
       spent := true;
-      Obs.Metrics.add (Lazy.force bytes_borrowed) (word_bytes * arity * n);
+      Obs.Metrics.add (Lazy.force counter) (word_bytes * arity * n);
       n
     end
   in
@@ -64,7 +76,31 @@ let of_table t =
     cols;
     width = max 1 n;
     pull;
+    lineage;
+    ids = (if Option.is_some lineage then ids () else [||]);
   }
+
+(* A table scan consumes entire stored columns with no selection vector,
+   so there is nothing to re-batch: hand out the table's own code
+   buffers (immutable by {!Table.codes}' contract) as one full-width
+   batch instead of blitting [batch_rows]-sized windows.  Downstream
+   operators bind buffers once before the first pull either way. *)
+let of_table t =
+  let n = Table.cardinality t in
+  one_batch t
+    ~cols:(Array.init (Table.arity t) (Table.codes t))
+    ~ids:(fun () -> Array.init n Fun.id)
+    ~n ~counter:bytes_borrowed
+
+let of_rows t idx =
+  let n = Array.length idx in
+  one_batch t
+    ~cols:
+      (Array.init (Table.arity t) (fun j ->
+           let src = Table.codes t j in
+           Array.map (fun i -> src.(i)) idx))
+    ~ids:(fun () -> idx)
+    ~n ~counter:bytes_copied
 
 (* --------------------------- streaming ops --------------------------- *)
 
@@ -78,6 +114,9 @@ let select ?funcs pred src =
   in
   let out = Array.init arity (fun _ -> Array.make src.width 0) in
   let sel = Array.make src.width 0 in
+  let ids =
+    if Option.is_some src.lineage then Array.make src.width 0 else [||]
+  in
   let pull () =
     let n = src.pull () in
     if n < 0 then -1
@@ -98,11 +137,15 @@ let select ?funcs pred src =
           Array.unsafe_set d k (Array.unsafe_get s (Array.unsafe_get sel k))
         done
       done;
+      if Option.is_some src.lineage then
+        for k = 0 to m - 1 do
+          ids.(k) <- src.ids.(sel.(k))
+        done;
       Obs.Metrics.add (Lazy.force bytes_copied) (word_bytes * arity * m);
       m
     end
   in
-  { src with cols = out; pull }
+  { src with cols = out; ids; pull }
 
 let project cols src =
   (* zero-copy: the projected source aliases the parent's buffers *)
@@ -113,6 +156,8 @@ let project cols src =
     cols = Array.of_list (List.map (fun j -> src.cols.(j)) js);
     width = src.width;
     pull = src.pull;
+    lineage = src.lineage;
+    ids = src.ids;
   }
 
 let tap f src =
@@ -149,41 +194,51 @@ let limit n src =
 
 (* ------------------------------ draining ----------------------------- *)
 
-(* Accumulate a whole stream into growable per-column code arrays. *)
+(* Accumulate a whole stream into growable per-column code arrays (and
+   the row ids, when the stream is tracked). *)
 let drain src =
   let arity = Array.length src.cols in
+  let tracked = Option.is_some src.lineage in
   let cap = ref (max batch_rows src.width) in
   let data = ref (Array.init arity (fun _ -> Array.make !cap 0)) in
+  let ids = ref (if tracked then Array.make !cap 0 else [||]) in
   let n = ref 0 in
+  let grow d =
+    let d' = Array.make !cap 0 in
+    Array.blit d 0 d' 0 !n;
+    d'
+  in
   let rec loop () =
     let b = src.pull () in
     if b >= 0 then begin
       if !n + b > !cap then begin
-        let cap' = max (2 * !cap) (!n + b) in
-        data :=
-          Array.map
-            (fun d ->
-              let d' = Array.make cap' 0 in
-              Array.blit d 0 d' 0 !n;
-              d')
-            !data;
-        cap := cap'
+        cap := max (2 * !cap) (!n + b);
+        data := Array.map grow !data;
+        if tracked then ids := grow !ids
       end;
       Obs.Metrics.add (Lazy.force bytes_copied) (word_bytes * arity * b);
       let dst = !data in
       for j = 0 to arity - 1 do
         Array.blit src.cols.(j) 0 dst.(j) !n b
       done;
+      if tracked then Array.blit src.ids 0 !ids !n b;
       n := !n + b;
       loop ()
     end
   in
   loop ();
-  (!data, !n)
+  (!data, !ids, !n)
+
+(* The lineage of [m] materialized rows whose row ids are
+   [ids.(idx k)]. *)
+let gather_lineage src ids m idx =
+  Option.map (fun lin -> Array.init m (fun k -> lin.(ids.(idx k)))) src.lineage
 
 let to_table ~name src =
-  let data, n = drain src in
-  Table.of_columns ~name src.schema ~nrows:n
+  let data, ids, n = drain src in
+  Table.of_columns
+    ?lineage:(gather_lineage src ids n Fun.id)
+    ~name src.schema ~nrows:n
     (Array.mapi (fun j d -> (src.dicts.(j), d)) data)
 
 let count src =
@@ -395,25 +450,29 @@ let group_table ~by src =
    deduplicating on the fly so the full input is never materialized. *)
 let distinct_table ~name src =
   let arity = Array.length src.cols in
+  let tracked = Option.is_some src.lineage in
   let out_cap = ref 64 in
   let out = ref (Array.init arity (fun _ -> Array.make !out_cap 0)) in
+  (* row ids of the kept first occurrences, when tracked *)
+  let kept_ids = ref (if tracked then Array.make !out_cap 0 else [||]) in
   let kept = ref 0 in
   let add_row i =
     if !kept = !out_cap then begin
       let cap' = 2 * !out_cap in
-      out :=
-        Array.map
-          (fun d ->
-            let d' = Array.make cap' 0 in
-            Array.blit d 0 d' 0 !kept;
-            d')
-          !out;
+      let grow d =
+        let d' = Array.make cap' 0 in
+        Array.blit d 0 d' 0 !kept;
+        d'
+      in
+      out := Array.map grow !out;
+      if tracked then kept_ids := grow !kept_ids;
       out_cap := cap'
     end;
     let dst = !out in
     for j = 0 to arity - 1 do
       dst.(j).(!kept) <- src.cols.(j).(i)
     done;
+    if tracked then !kept_ids.(!kept) <- src.ids.(i);
     incr kept;
     !kept - 1
   in
@@ -487,7 +546,9 @@ let distinct_table ~name src =
     in
     loop ()
   end;
-  Table.of_columns ~name src.schema ~nrows:!kept
+  Table.of_columns
+    ?lineage:(gather_lineage src !kept_ids !kept Fun.id)
+    ~name src.schema ~nrows:!kept
     (Array.mapi (fun j d -> (src.dicts.(j), d)) !out)
 
 (* ----------------------------- sort / top-k --------------------------- *)
@@ -511,26 +572,28 @@ let sort_comparator keys schema dicts data n =
   in
   cmp cols
 
-let gather_block ~name schema dicts data idx m =
+let gather_block ~name src data ids idx m =
   let arity = Array.length data in
   let cols =
     Array.init arity (fun j ->
-        let src = data.(j) in
+        let col = data.(j) in
         let d = Array.make (max 1 m) 0 in
         for k = 0 to m - 1 do
-          d.(k) <- src.(idx.(k))
+          d.(k) <- col.(idx.(k))
         done;
-        (dicts.(j), d))
+        (src.dicts.(j), d))
   in
-  Table.of_columns ~name schema ~nrows:m cols
+  Table.of_columns
+    ?lineage:(gather_lineage src ids m (fun k -> idx.(k)))
+    ~name src.schema ~nrows:m cols
 
 let sort_table ~name keys src =
-  let data, n = drain src in
+  let data, ids, n = drain src in
   let cmp = sort_comparator keys src.schema src.dicts data n in
   let idx =
     Array.of_list (List.stable_sort cmp (List.init n Fun.id))
   in
-  gather_block ~name src.schema src.dicts data idx n
+  gather_block ~name src data ids idx n
 
 (* Bounded top-k: the first [k] rows of the stable sort, computed with a
    sorted insertion buffer of size [k] instead of sorting (or even fully
@@ -539,12 +602,12 @@ let sort_table ~name keys src =
 let topk_limit = 256
 
 let topk_table ~name k keys src =
-  let data, n = drain src in
+  let data, ids, n = drain src in
   if k >= n || k > topk_limit then begin
     let cmp = sort_comparator keys src.schema src.dicts data n in
     let idx = Array.of_list (List.stable_sort cmp (List.init n Fun.id)) in
     let m = min k n in
-    gather_block ~name src.schema src.dicts data idx m
+    gather_block ~name src data ids idx m
   end
   else begin
     let cmp0 = sort_comparator keys src.schema src.dicts data n in
@@ -576,211 +639,211 @@ let topk_table ~name k keys src =
         keep.(at) <- i
       end
     done;
-    gather_block ~name src.schema src.dicts data keep !m
+    gather_block ~name src data ids keep !m
   end
 
 (* ------------------------------- join -------------------------------- *)
 
 (* Hash equi-join on dictionary codes with explicit build-side choice.
-   The output is bit-identical to {!Ops.equi_join} — all [ta] columns
-   then the non-key [tb] columns, rows in [ta]-major order with matches
-   in [tb] row order — whichever side carries the index: building on the
-   probe side's left collects pairs probe-major and a stable counting
-   sort by [ia] restores the reference order. *)
+   Output columns are all [ta] columns then the non-key [tb] columns,
+   rows in [ta]-major order with matches in [tb] row order, whichever
+   side carries the index: building on the left collects pairs
+   probe-major and a stable counting sort by [ia] restores that order.
+   Each output row's lineage merges both parents' ({!Ops.pair_lineage}). *)
 let join_tables ?build_left ~on ta tb =
-  if
-    Table.lineage ta <> None || Table.lineage tb <> None || Lineage.tracking ()
-  then Ops.equi_join ~on ta tb
-  else begin
-    let sa = Table.schema ta and sb = Table.schema tb in
-    let a_keys = List.map (fun (a, _) -> Schema.index sa a) on in
-    let b_keys = List.map (fun (_, b) -> Schema.index sb b) on in
-    let b_key_cols = List.map snd on in
-    let kept_b =
-      List.filter (fun c -> not (List.mem c b_key_cols)) (Schema.columns sb)
-    in
-    List.iter
-      (fun c -> if Schema.mem sa c then raise (Ops.Schema_clash c))
-      kept_b;
-    let na = Table.cardinality ta and nb = Table.cardinality tb in
-    let build_left =
-      match build_left with Some b -> b | None -> na < nb
-    in
-    (* [bt] owns the index; [pt] streams through it. *)
-    let bt, pt, b_keyix, p_keyix =
-      if build_left then (ta, tb, a_keys, b_keys) else (tb, ta, b_keys, a_keys)
-    in
-    let nbuild = Table.cardinality bt and nprobe = Table.cardinality pt in
-    let nkeys = List.length on in
-    let bcols = Array.of_list (List.map (Table.codes bt) b_keyix) in
-    let bdicts = Array.of_list (List.map (Table.dict bt) b_keyix) in
-    let pcols = Array.of_list (List.map (Table.codes pt) p_keyix) in
-    let trans =
-      Array.of_list
-        (List.map2
-           (fun jp jb ->
-             let dp = Table.dict pt jp and db = Table.dict bt jb in
-             if dp == db then None else Some (Dict.translate ~from:dp ~into:db))
-           p_keyix b_keyix)
-    in
-    (* translated probe key, written into [k]; false = no possible match *)
-    let key_into k ip =
-      let ok = ref true in
-      for j = 0 to nkeys - 1 do
-        let c = pcols.(j).(ip) in
-        let c' = match trans.(j) with None -> c | Some map -> map.(c) in
-        if c' < 0 then ok := false else k.(j) <- c'
-      done;
-      !ok
-    in
-    let next = Array.make (max 1 nbuild) (-1) in
-    let dense = dense_domain bdicts in
-    let scratch = Array.make (max 1 nkeys) 0 in
-    (* [find]: head of the chain for the translated key in [scratch] *)
-    let find =
-      if dense >= 0 then begin
-        let heads = Array.make dense (-1) in
-        let weights = Array.map (fun d -> max 1 (Dict.size d)) bdicts in
-        let key cols i =
-          let k = ref 0 in
-          for j = 0 to nkeys - 1 do
-            k := (!k * Array.unsafe_get weights j) + cols j i
-          done;
-          !k
-        in
-        (* insert high-to-low so every chain lists build rows ascending *)
-        for ib = nbuild - 1 downto 0 do
-          let k = key (fun j i -> bcols.(j).(i)) ib in
-          next.(ib) <- heads.(k);
-          heads.(k) <- ib
-        done;
-        fun () -> heads.(key (fun j _ -> scratch.(j)) 0)
-      end
-      else begin
-        let cap = pow2_at_least (4 * max 1 nbuild) in
-        let mask = cap - 1 in
-        let keys = Array.make cap (-1) in
-        (* first build row of the slot's chain; keys compare per column *)
-        let heads = Array.make cap (-1) in
-        let hash cols i =
-          let h = ref 0 in
-          for j = 0 to nkeys - 1 do
-            h := (!h * 1000003) + cols j i
-          done;
-          mix !h land mask
-        in
-        let same cols i ib =
-          let ok = ref true in
-          for j = 0 to nkeys - 1 do
-            if cols j i <> bcols.(j).(ib) then ok := false
-          done;
-          !ok
-        in
-        let slot cols i =
-          let rec probe s =
-            if keys.(s) < 0 || same cols i keys.(s) then s
-            else probe ((s + 1) land mask)
-          in
-          probe (hash cols i)
-        in
-        for ib = nbuild - 1 downto 0 do
-          let s = slot (fun j i -> bcols.(j).(i)) ib in
-          if keys.(s) < 0 then keys.(s) <- ib;
-          next.(ib) <- heads.(s);
-          heads.(s) <- ib
-        done;
-        fun () ->
-          let s = slot (fun j _ -> scratch.(j)) 0 in
-          if keys.(s) < 0 then -1 else heads.(s)
-      end
-    in
-    (* probe in order, pushing matches into growable pair buffers *)
-    let cap = ref 64 in
-    let ip_arr = ref (Array.make !cap 0) and ib_arr = ref (Array.make !cap 0) in
-    let m = ref 0 in
-    let push ip ib =
-      if !m = !cap then begin
-        cap := 2 * !cap;
-        let grow a =
-          let a' = Array.make !cap 0 in
-          Array.blit a 0 a' 0 !m;
-          a'
-        in
-        ip_arr := grow !ip_arr;
-        ib_arr := grow !ib_arr
-      end;
-      !ip_arr.(!m) <- ip;
-      !ib_arr.(!m) <- ib;
-      incr m
-    in
-    for ip = 0 to nprobe - 1 do
-      if key_into scratch ip then begin
-        let b = ref (find ()) in
-        while !b >= 0 do
-          push ip !b;
-          b := next.(!b)
-        done
-      end
+  let sa = Table.schema ta and sb = Table.schema tb in
+  let a_keys = List.map (fun (a, _) -> Schema.index sa a) on in
+  let b_keys = List.map (fun (_, b) -> Schema.index sb b) on in
+  let b_key_cols = List.map snd on in
+  let kept_b =
+    List.filter (fun c -> not (List.mem c b_key_cols)) (Schema.columns sb)
+  in
+  List.iter
+    (fun c -> if Schema.mem sa c then raise (Ops.Schema_clash c))
+    kept_b;
+  let na = Table.cardinality ta and nb = Table.cardinality tb in
+  let build_left =
+    match build_left with Some b -> b | None -> na < nb
+  in
+  (* [bt] owns the index; [pt] streams through it. *)
+  let bt, pt, b_keyix, p_keyix =
+    if build_left then (ta, tb, a_keys, b_keys) else (tb, ta, b_keys, a_keys)
+  in
+  let nbuild = Table.cardinality bt and nprobe = Table.cardinality pt in
+  let nkeys = List.length on in
+  let bcols = Array.of_list (List.map (Table.codes bt) b_keyix) in
+  let bdicts = Array.of_list (List.map (Table.dict bt) b_keyix) in
+  let pcols = Array.of_list (List.map (Table.codes pt) p_keyix) in
+  let trans =
+    Array.of_list
+      (List.map2
+         (fun jp jb ->
+           let dp = Table.dict pt jp and db = Table.dict bt jb in
+           if dp == db then None else Some (Dict.translate ~from:dp ~into:db))
+         p_keyix b_keyix)
+  in
+  (* translated probe key, written into [k]; false = no possible match *)
+  let key_into k ip =
+    let ok = ref true in
+    for j = 0 to nkeys - 1 do
+      let c = pcols.(j).(ip) in
+      let c' = match trans.(j) with None -> c | Some map -> map.(c) in
+      if c' < 0 then ok := false else k.(j) <- c'
     done;
-    let m = !m in
-    let ias, ibs =
-      if not build_left then (!ip_arr, !ib_arr)
-      else begin
-        (* pairs are (probe=ib)-major; stable counting sort by the build
-           row [ia] restores ta-major order with tb matches ascending *)
-        let counts = Array.make (na + 1) 0 in
-        let bsrc = !ib_arr in
-        for k = 0 to m - 1 do
-          counts.(bsrc.(k) + 1) <- counts.(bsrc.(k) + 1) + 1
+    !ok
+  in
+  let next = Array.make (max 1 nbuild) (-1) in
+  let dense = dense_domain bdicts in
+  let scratch = Array.make (max 1 nkeys) 0 in
+  (* [find]: head of the chain for the translated key in [scratch] *)
+  let find =
+    if dense >= 0 then begin
+      let heads = Array.make dense (-1) in
+      let weights = Array.map (fun d -> max 1 (Dict.size d)) bdicts in
+      let key cols i =
+        let k = ref 0 in
+        for j = 0 to nkeys - 1 do
+          k := (!k * Array.unsafe_get weights j) + cols j i
         done;
-        for i = 1 to na do
-          counts.(i) <- counts.(i) + counts.(i - 1)
-        done;
-        let ias = Array.make (max 1 m) 0 and ibs = Array.make (max 1 m) 0 in
-        let psrc = !ip_arr in
-        for k = 0 to m - 1 do
-          let ia = bsrc.(k) in
-          let at = counts.(ia) in
-          counts.(ia) <- at + 1;
-          ias.(at) <- ia;
-          ibs.(at) <- psrc.(k)
-        done;
-        (ias, ibs)
-      end
-    in
-    (* a semijoin-shaped result (every ta row matched exactly once, in
-       order) needs no gather at all: the output's ta columns are ta's own
-       immutable code arrays, shared zero-copy like {!Ops.project} *)
-    let identity idxs n =
-      m = n
-      &&
-      let ok = ref true in
-      for k = 0 to m - 1 do
-        if Array.unsafe_get idxs k <> k then ok := false
+        !k
+      in
+      (* insert high-to-low so every chain lists build rows ascending *)
+      for ib = nbuild - 1 downto 0 do
+        let k = key (fun j i -> bcols.(j).(i)) ib in
+        next.(ib) <- heads.(k);
+        heads.(k) <- ib
       done;
-      !ok
-    in
-    let col_from t idxs id j =
-      let src = Table.codes t j in
-      if id then (Table.dict t j, src)
-      else begin
-        let data = Array.make (max 1 m) 0 in
-        for k = 0 to m - 1 do
-          Array.unsafe_set data k
-            (Array.unsafe_get src (Array.unsafe_get idxs k))
+      fun () -> heads.(key (fun j _ -> scratch.(j)) 0)
+    end
+    else begin
+      let cap = pow2_at_least (4 * max 1 nbuild) in
+      let mask = cap - 1 in
+      let keys = Array.make cap (-1) in
+      (* first build row of the slot's chain; keys compare per column *)
+      let heads = Array.make cap (-1) in
+      let hash cols i =
+        let h = ref 0 in
+        for j = 0 to nkeys - 1 do
+          h := (!h * 1000003) + cols j i
         done;
-        (Table.dict t j, data)
-      end
-    in
-    let ia_id = identity ias na in
-    let ib_id = identity ibs (Table.cardinality tb) in
-    Table.of_columns
-      ~name:(Table.name ta ^ "|x|" ^ Table.name tb)
-      (Schema.append sa kept_b) ~nrows:m
-      (Array.append
-         (Array.init (Schema.arity sa) (col_from ta ias ia_id))
-         (Array.of_list
-            (List.map
-               (fun jb -> col_from tb ibs ib_id jb)
-               (List.map (Schema.index sb) kept_b))))
-  end
+        mix !h land mask
+      in
+      let same cols i ib =
+        let ok = ref true in
+        for j = 0 to nkeys - 1 do
+          if cols j i <> bcols.(j).(ib) then ok := false
+        done;
+        !ok
+      in
+      let slot cols i =
+        let rec probe s =
+          if keys.(s) < 0 || same cols i keys.(s) then s
+          else probe ((s + 1) land mask)
+        in
+        probe (hash cols i)
+      in
+      for ib = nbuild - 1 downto 0 do
+        let s = slot (fun j i -> bcols.(j).(i)) ib in
+        if keys.(s) < 0 then keys.(s) <- ib;
+        next.(ib) <- heads.(s);
+        heads.(s) <- ib
+      done;
+      fun () ->
+        let s = slot (fun j _ -> scratch.(j)) 0 in
+        if keys.(s) < 0 then -1 else heads.(s)
+    end
+  in
+  (* probe in order, pushing matches into growable pair buffers *)
+  let cap = ref 64 in
+  let ip_arr = ref (Array.make !cap 0) and ib_arr = ref (Array.make !cap 0) in
+  let m = ref 0 in
+  let push ip ib =
+    if !m = !cap then begin
+      cap := 2 * !cap;
+      let grow a =
+        let a' = Array.make !cap 0 in
+        Array.blit a 0 a' 0 !m;
+        a'
+      in
+      ip_arr := grow !ip_arr;
+      ib_arr := grow !ib_arr
+    end;
+    !ip_arr.(!m) <- ip;
+    !ib_arr.(!m) <- ib;
+    incr m
+  in
+  for ip = 0 to nprobe - 1 do
+    if key_into scratch ip then begin
+      let b = ref (find ()) in
+      while !b >= 0 do
+        push ip !b;
+        b := next.(!b)
+      done
+    end
+  done;
+  let m = !m in
+  let ias, ibs =
+    if not build_left then (!ip_arr, !ib_arr)
+    else begin
+      (* pairs are (probe=ib)-major; stable counting sort by the build
+         row [ia] restores ta-major order with tb matches ascending *)
+      let counts = Array.make (na + 1) 0 in
+      let bsrc = !ib_arr in
+      for k = 0 to m - 1 do
+        counts.(bsrc.(k) + 1) <- counts.(bsrc.(k) + 1) + 1
+      done;
+      for i = 1 to na do
+        counts.(i) <- counts.(i) + counts.(i - 1)
+      done;
+      let ias = Array.make (max 1 m) 0 and ibs = Array.make (max 1 m) 0 in
+      let psrc = !ip_arr in
+      for k = 0 to m - 1 do
+        let ia = bsrc.(k) in
+        let at = counts.(ia) in
+        counts.(ia) <- at + 1;
+        ias.(at) <- ia;
+        ibs.(at) <- psrc.(k)
+      done;
+      (ias, ibs)
+    end
+  in
+  (* a semijoin-shaped result (every ta row matched exactly once, in
+     order) needs no gather at all: the output's ta columns are ta's own
+     immutable code arrays, shared zero-copy like {!Ops.project} *)
+  let identity idxs n =
+    m = n
+    &&
+    let ok = ref true in
+    for k = 0 to m - 1 do
+      if Array.unsafe_get idxs k <> k then ok := false
+    done;
+    !ok
+  in
+  let col_from t idxs id j =
+    let src = Table.codes t j in
+    if id then (Table.dict t j, src)
+    else begin
+      let data = Array.make (max 1 m) 0 in
+      for k = 0 to m - 1 do
+        Array.unsafe_set data k
+          (Array.unsafe_get src (Array.unsafe_get idxs k))
+      done;
+      (Table.dict t j, data)
+    end
+  in
+  let ia_id = identity ias na in
+  let ib_id = identity ibs (Table.cardinality tb) in
+  let lineage =
+    Option.map
+      (fun combine -> Array.init m (fun k -> combine ias.(k) ibs.(k)))
+      (Ops.pair_lineage ta tb)
+  in
+  Table.of_columns ?lineage
+    ~name:(Table.name ta ^ "|x|" ^ Table.name tb)
+    (Schema.append sa kept_b) ~nrows:m
+    (Array.append
+       (Array.init (Schema.arity sa) (col_from ta ias ia_id))
+       (Array.of_list
+          (List.map
+             (fun jb -> col_from tb ibs ib_id jb)
+             (List.map (Schema.index sb) kept_b))))

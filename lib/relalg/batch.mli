@@ -1,26 +1,27 @@
 (** Vectorized physical operators over fixed-size batches of dictionary
-    codes.
+    codes: the one executor behind every query, index lookup and
+    programmatic operator.
 
-    The row-at-a-time engine in {!Ops} interprets one {!Value} row per
-    operator call; this module is the batch-of-codes alternative the
-    cost-based planner ({!Planner}) compiles to.  A {!source} streams
-    batches of up to {!batch_rows} rows as plain [int] code vectors over
-    per-operator column buffers, so selection and projection inner loops
-    are tight integer loops with no per-row boxing, and the blocking
-    operators (join/group/distinct/sort/top-k) key their hash and
-    direct-address indexes on combined dictionary codes instead of
-    polymorphic row hashing.
+    The cost-based planner ({!Planner}) compiles to this module.  A
+    {!source} streams batches of up to {!batch_rows} rows as plain [int]
+    code vectors over per-operator column buffers, so selection and
+    projection inner loops are tight integer loops with no per-row
+    boxing, and the blocking operators (join/group/distinct/sort/top-k)
+    key their hash and direct-address indexes on combined dictionary
+    codes instead of polymorphic row hashing.
 
-    Every operator preserves the reference engine's ordering semantics:
-    select/project/limit keep input order, distinct and group are
-    first-occurrence, sort is stable under {!Value.order}, and
-    {!join_tables} emits pairs in the same (left-major, right ascending)
-    order as {!Ops.equi_join} — differentially tested in the suite.
+    Ordering semantics are those of SQL over row lists: select, project
+    and limit keep input order, distinct and group are first-occurrence,
+    sort is stable under {!Value.order}, and {!join_tables} emits pairs
+    left-major with right matches ascending.  The test suite checks every
+    operator against a row-at-a-time oracle.
 
-    Lineage is not propagated here: callers gate on
-    {!Lineage.tracking} / {!Table.lineage} and fall back to {!Ops}
-    (and {!join_tables} double-checks, delegating to {!Ops.equi_join}
-    when either input carries lineage). *)
+    Lineage: a source over a tracked table (one that carries lineage, or
+    any table while {!Lineage.tracking} is on) also carries each row's id
+    in that table, and every materializing operator gathers the table's
+    {!Lineage.row}s by those ids; {!join_tables} merges both parents'.
+    Group and count results carry no lineage.  Untracked sources
+    allocate no id vector. *)
 
 val batch_rows : int
 (** Rows per re-batching operator's batch (1024).  Borrowed table scans
@@ -43,6 +44,11 @@ val of_table : Table.t -> source
     [batch.bytes_borrowed] counter of the ["relalg"] metrics registry
     (vs [batch.bytes_copied] for filter gathers and drains), so
     [sys.metrics] shows the scan-copy win. *)
+
+val of_rows : Table.t -> int array -> source
+(** One batch of the table's rows at the given positions, in the given
+    order (an index lookup's access path); the gathered bytes count
+    toward [batch.bytes_copied]. *)
 
 val select : ?funcs:Expr.funcs -> Expr.t -> source -> source
 (** Filter with a predicate compiled once against the input buffers
@@ -70,7 +76,8 @@ val count : source -> int
 (** Drain, counting rows. *)
 
 val to_table : name:string -> source -> Table.t
-(** Drain into a table sharing the source's dictionaries. *)
+(** Drain into a table sharing the source's dictionaries (and carrying
+    the gathered lineage when the source is tracked). *)
 
 val group_table : by:string list -> source -> Table.t
 (** [GROUP BY … COUNT]: one row per distinct key in first-occurrence
@@ -83,7 +90,7 @@ val distinct_table : name:string -> source -> Table.t
     {!group_table}). *)
 
 val sort_table : name:string -> (string * [ `Asc | `Desc ]) list -> source -> Table.t
-(** Stable sort under {!Value.order}, matching {!Ops.order_by}. *)
+(** Stable sort under {!Value.order}; ties keep input order. *)
 
 val topk_table :
   name:string -> int -> (string * [ `Asc | `Desc ]) list -> source -> Table.t
@@ -99,10 +106,12 @@ val join_tables :
   Table.t
 (** Hash equi-join keyed on dictionary codes (right-side key codes are
     translated into the left dictionaries, so probe compares are integer
-    equality).  Output rows, schema and name match {!Ops.equi_join}
-    exactly, whichever side is built: when the left (smaller) side is the
-    build side, matches are restored to left-major order by a stable
-    counting sort.  [?build_left] overrides the cardinality heuristic
-    (used by tests).
+    equality).  The result keeps all columns of the left table, then the
+    right columns that are not join keys; it is named ["<a>|x|<b>"] and
+    lists matches left-major, right rows ascending, whichever side is
+    built: when the left side is the build side, matches are restored to
+    that order by a stable counting sort.  [?build_left] overrides the
+    cardinality heuristic (used by tests).  Each row's lineage merges its
+    two parents' when either input is tracked.
 
     @raise Ops.Schema_clash on non-key column name collisions. *)

@@ -23,7 +23,6 @@ let build tbl column =
   { source = tbl; column; col; buckets }
 
 let source t = t.source
-let table_name t = Table.name t.source
 let column t = t.column
 
 let lookup_idx t v =
@@ -32,8 +31,6 @@ let lookup_idx t v =
   | Some c -> List.rev (Option.value (Hashtbl.find_opt t.buckets c) ~default:[])
 
 let lookup t v = List.map (Table.get t.source) (lookup_idx t v)
-let lookup_gather t v = Table.gather t.source (lookup_idx t v)
-let distinct_keys t = Hashtbl.length t.buckets
 
 let consistent t tbl =
   let n = Table.cardinality t.source in

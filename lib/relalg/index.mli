@@ -1,16 +1,17 @@
 (** Hash indexes over a single column.
 
-    The workhorse access path behind the physical planner
-    ({!Physical}): an equality predicate on an indexed column becomes a
-    hash lookup instead of a scan.  Indexes are explicit immutable values
-    built from a table snapshot — rebuilding after table updates is the
-    caller's concern ({!Physical}'s store does it by watching
-    {!Table.id}).
+    The planner's index access path ({!Planner.plan} with [~indexes]):
+    a filter over a scan whose predicate has a [col = literal] conjunct
+    on an indexed column becomes an index-scan leaf that reads only the
+    matching rows.  Indexes are explicit immutable values built from a
+    table snapshot; the caller builds each once and reuses it, and the
+    planner ignores an index whose {!source} is no longer the table the
+    database holds under that name (another {!Table.id}).
 
-    Since the columnar refactor the buckets hold row numbers keyed by
-    dictionary code: probing first resolves the value through the
-    column's dictionary, so a value that never occurs in the table
-    misses in O(1), and a hit gathers rows by index without decoding. *)
+    The buckets hold row numbers keyed by dictionary code: probing first
+    resolves the value through the column's dictionary, so a value that
+    never occurs in the table misses in O(1), and a hit yields row
+    numbers without decoding any row. *)
 
 type t
 
@@ -20,7 +21,6 @@ val build : Table.t -> string -> t
 val source : t -> Table.t
 (** The table snapshot the index was built from. *)
 
-val table_name : t -> string
 val column : t -> string
 
 val lookup : t -> Value.t -> Row.t list
@@ -29,12 +29,6 @@ val lookup : t -> Value.t -> Row.t list
 val lookup_idx : t -> Value.t -> int list
 (** Row numbers (into {!source}) whose indexed cell equals the value, in
     table order.  No row is decoded. *)
-
-val lookup_gather : t -> Value.t -> Table.t
-(** The matching rows as a table sharing the source's dictionaries —
-    what {!Physical.execute_access} materializes for an index lookup. *)
-
-val distinct_keys : t -> int
 
 val consistent : t -> Table.t -> bool
 (** Every row of the table is reachable through the index and vice versa

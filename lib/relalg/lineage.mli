@@ -1,20 +1,22 @@
 (** Row-level provenance for derived tables.
 
-    When tracking is enabled, every table produced by {!Ops} or
-    {!Solver} carries, per row, a compact {e lineage}: the set of base
-    contributors [(source id, row index)] that the row was derived
-    from.  A base table is any table that does not itself carry
-    lineage; the first operator that consumes it synthesizes the
-    identity lineage [row i <- (id, i)] and registers the table here,
-    so the contributors of any derived row can later be decoded back
-    into named base rows — the raw material of the checker's
-    [asura why] narratives.
+    When tracking is enabled, every table derived by the query executor
+    ({!Planner} over {!Batch}, which carries each row's id in the table
+    it streams from and gathers lineage on materialization), by {!Ops}
+    or by {!Solver} carries, per row, a compact {e lineage}: the set of
+    base contributors [(source id, row index)] that the row was derived
+    from.  Group and count results carry none.  A base table is any
+    table that does not itself carry lineage; the first operator that
+    consumes it synthesizes the identity lineage [row i <- (id, i)] and
+    registers the table here, so the contributors of any derived row can
+    later be decoded back into named base rows — the raw material of the
+    checker's [asura why] narratives.
 
     Tracking is {e off} by default and the whole subsystem then costs
-    one [None] check per operator: the columnar hot path stays
-    integer-only.  Enabling it is meant for diagnostic runs
-    (invariant explanation, deadlock narratives, the lineage test
-    suite), not for benchmarking. *)
+    one check per operator: no row-id vector is allocated and the
+    columnar hot path stays integer-only.  Enabling it is meant for
+    diagnostic runs (invariant explanation, deadlock narratives, the
+    lineage test suite), not for benchmarking. *)
 
 type contrib = { source : int; row : int }
 (** One base contributor: [source] identifies a registered base table,

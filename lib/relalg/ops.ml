@@ -1,28 +1,6 @@
 exception Schema_clash of string
 exception Incompatible_schemas of string
 
-(* Chunk sizes below which the pool is not worth waking: selections and
-   join probes are cheap per row, so parallelism only pays on bulk scans. *)
-let select_min_chunk = 1024
-let probe_min_chunk = 512
-
-let select ?funcs pred t =
-  let check =
-    Expr.compile_columns ?funcs (Table.schema t) ~dict:(Table.dict t)
-      ~codes:(Table.codes t) pred
-  in
-  let n = Table.cardinality t in
-  if Par.Pool.degree ~min_chunk:select_min_chunk n <= 1 then
-    Table.filter_idx check t
-  else
-    (* The compiled predicate only reads code arrays and compile-time memo
-       tables, so chunks can evaluate it concurrently; the chunk-order
-       merge keeps the kept indices ascending, exactly like the
-       sequential filter. *)
-    Table.gather t
-      (Par.Pool.filter_list ~min_chunk:select_min_chunk check
-         (List.init n Fun.id))
-
 let project cols t =
   let schema = Table.schema t in
   Table.select_columns (Schema.project schema cols) t
@@ -122,134 +100,6 @@ let intersect ta tb =
   let in_b = Table.row_membership ~of_:tb ta in
   Table.distinct (Table.filter_idx in_b ta)
 
-let equi_join ~on ta tb =
-  let sa = Table.schema ta and sb = Table.schema tb in
-  let a_keys = List.map (fun (a, _) -> Schema.index sa a) on in
-  let b_keys = List.map (fun (_, b) -> Schema.index sb b) on in
-  let b_key_cols = List.map snd on in
-  let kept_b =
-    List.filter (fun c -> not (List.mem c b_key_cols)) (Schema.columns sb)
-  in
-  List.iter (fun c -> if Schema.mem sa c then raise (Schema_clash c)) kept_b;
-  let na = Table.cardinality ta and nb = Table.cardinality tb in
-  (* Hash join in code space: index tb row numbers by their key codes,
-     translate ta's key codes into tb's dictionaries once, then probe. *)
-  let b_key = Array.of_list (List.map (Table.codes tb) b_keys) in
-  let buckets = Hashtbl.create (max 16 nb) in
-  for ib = 0 to nb - 1 do
-    let k = Array.map (fun cs -> cs.(ib)) b_key in
-    let existing = Option.value (Hashtbl.find_opt buckets k) ~default:[] in
-    Hashtbl.replace buckets k (ib :: existing)
-  done;
-  (* buckets accumulate newest-first; reversing each into an array once
-     restores tb row order, so probes need no per-row reversal *)
-  let index = Hashtbl.create (max 16 nb) in
-  Hashtbl.iter
-    (fun k l -> Hashtbl.replace index k (Array.of_list (List.rev l)))
-    buckets;
-  let a_key = Array.of_list (List.map (Table.codes ta) a_keys) in
-  let trans =
-    Array.of_list
-      (List.map2
-         (fun ja jb ->
-           let da = Table.dict ta ja and db = Table.dict tb jb in
-           if da == db then None else Some (Dict.translate ~from:da ~into:db))
-         a_keys b_keys)
-  in
-  let nkeys = Array.length a_key in
-  (* write row ia's translated key codes into scratch array [k]; false
-     when a key value has no code in tb's dictionary (no match) *)
-  let key_into k ia =
-    let ok = ref true in
-    for j = 0 to nkeys - 1 do
-      let c = a_key.(j).(ia) in
-      let c' = match trans.(j) with None -> c | Some map -> map.(c) in
-      if c' < 0 then ok := false else k.(j) <- c'
-    done;
-    !ok
-  in
-  let seq_pairs () =
-    (* probe with one reused key array and push straight into growable
-       index buffers: no per-row allocation on the sequential path *)
-    let cap = ref 16 in
-    let ias = ref (Array.make !cap 0) and ibs = ref (Array.make !cap 0) in
-    let m = ref 0 in
-    let k = Array.make nkeys 0 in
-    for ia = 0 to na - 1 do
-      if key_into k ia then
-        match Hashtbl.find_opt index k with
-        | None -> ()
-        | Some matches ->
-            Array.iter
-              (fun ib ->
-                if !m = !cap then begin
-                  cap := !cap * 2;
-                  let grow a =
-                    let a' = Array.make !cap 0 in
-                    Array.blit a 0 a' 0 !m;
-                    a'
-                  in
-                  ias := grow !ias;
-                  ibs := grow !ibs
-                end;
-                !ias.(!m) <- ia;
-                !ibs.(!m) <- ib;
-                incr m)
-              matches
-    done;
-    (!ias, !ibs, !m)
-  in
-  let par_pairs () =
-    let probe ia =
-      let k = Array.make nkeys 0 in
-      if not (key_into k ia) then []
-      else
-        match Hashtbl.find_opt index k with
-        | None -> []
-        | Some matches ->
-            Array.fold_right (fun ib acc -> (ia, ib) :: acc) matches []
-    in
-    (* The build index and translation maps are immutable once populated,
-       so probe chunks may read them from several domains concurrently;
-       pair chunks concatenate in row order, matching the sequential
-       probe loop exactly. *)
-    let pairs =
-      Par.Pool.concat_map_list ~min_chunk:probe_min_chunk probe
-        (List.init na Fun.id)
-    in
-    let m = List.length pairs in
-    let ias = Array.make (max 1 m) 0 and ibs = Array.make (max 1 m) 0 in
-    List.iteri
-      (fun k (ia, ib) ->
-        ias.(k) <- ia;
-        ibs.(k) <- ib)
-      pairs;
-    (ias, ibs, m)
-  in
-  let ias, ibs, m =
-    if Par.Pool.degree ~min_chunk:probe_min_chunk na <= 1 then seq_pairs ()
-    else par_pairs ()
-  in
-  let col_from t idxs j =
-    let src = Table.codes t j in
-    let data = Array.make (max 1 m) 0 in
-    for k = 0 to m - 1 do
-      data.(k) <- src.(idxs.(k))
-    done;
-    (Table.dict t j, data)
-  in
-  let lineage =
-    Option.map
-      (fun combine -> Array.init m (fun k -> combine ias.(k) ibs.(k)))
-      (pair_lineage ta tb)
-  in
-  Table.of_columns ?lineage
-    ~name:(Table.name ta ^ "|x|" ^ Table.name tb)
-    (Schema.append sa kept_b) ~nrows:m
-    (Array.append
-       (Array.init (Schema.arity sa) (col_from ta ias))
-       (Array.of_list (List.map (fun jb -> col_from tb ibs jb) (List.map (Schema.index sb) kept_b))))
-
 let add_column ~name f t =
   let schema = Schema.append (Table.schema t) [ name ] in
   let n = Table.cardinality t in
@@ -266,73 +116,3 @@ let add_column ~name f t =
   in
   Table.of_columns ?lineage ~name:(Table.name t) schema ~nrows:n
     (Array.append shared [| (d, extra) |])
-
-let group_count ~by t =
-  let projected = project by t in
-  let n = Table.cardinality projected in
-  let arity = Table.arity projected in
-  let cols = Array.init arity (Table.codes projected) in
-  let counts = Hashtbl.create 64 in
-  let order = ref [] in
-  for i = 0 to n - 1 do
-    let key = Array.map (fun cs -> cs.(i)) cols in
-    match Hashtbl.find_opt counts key with
-    | Some c -> Hashtbl.replace counts key (c + 1)
-    | None ->
-        Hashtbl.add counts key 1;
-        order := (i, key) :: !order
-  done;
-  List.rev_map
-    (fun (i, key) -> (Table.get projected i, Hashtbl.find counts key))
-    !order
-
-let group_count_lineage ~by t =
-  let projected = project by t in
-  let lin = Table.lineage_rows projected in
-  let n = Table.cardinality projected in
-  let arity = Table.arity projected in
-  let cols = Array.init arity (Table.codes projected) in
-  let groups : (int array, int * Lineage.row) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  for i = 0 to n - 1 do
-    let key = Array.map (fun cs -> cs.(i)) cols in
-    match Hashtbl.find_opt groups key with
-    | Some (c, l) -> Hashtbl.replace groups key (c + 1, Lineage.merge l lin.(i))
-    | None ->
-        Hashtbl.add groups key (1, lin.(i));
-        order := (i, key) :: !order
-  done;
-  List.rev_map
-    (fun (i, key) ->
-      let c, l = Hashtbl.find groups key in
-      (Table.get projected i, c, l))
-    !order
-
-(* Sort keys are decoded once into value arrays; the stable sort then
-   compares decoded cells under Value.order (numeric across Int/Float)
-   and ties keep input order.  Gathering by the sorted index list reuses
-   the input's dictionaries, so sorting never re-interns. *)
-let order_by keys t =
-  let schema = Table.schema t in
-  let n = Table.cardinality t in
-  let cols =
-    List.map
-      (fun (c, dir) ->
-        let j = Schema.index schema c in
-        let d = Table.dict t j and cs = Table.codes t j in
-        (Array.init n (fun i -> Dict.value d cs.(i)), dir))
-      keys
-  in
-  let rec cmp cols a b =
-    match cols with
-    | [] -> 0
-    | (vals, dir) :: rest ->
-        let r = Value.order vals.(a) vals.(b) in
-        let r = match dir with `Asc -> r | `Desc -> -r in
-        if r <> 0 then r else cmp rest a b
-  in
-  Table.gather ~name:(Table.name t) t
-    (List.stable_sort (cmp cols) (List.init n Fun.id))
-
-let limit n t =
-  if n >= Table.cardinality t then t else Table.filter_idx (fun i -> i < n) t

@@ -1,19 +1,20 @@
-(** Relational-algebra operators over {!Table.t}.
+(** Relational-algebra operators over {!Table.t} that the vectorized
+    executor does not provide.
 
-    These are the operations the paper performs through SQL: selection by a
-    boolean constraint, projection, renaming, cross product (table
-    generation), union (assembling dependency tables), difference, and
-    joins (pairwise composition).  Set-producing operators ([union],
-    [except], [intersect]) return duplicate-free tables; [select]/[project]
-    preserve multiplicity like their SQL counterparts. *)
+    These are the operations the paper performs besides selection and
+    joins: projection, renaming, cross product (table generation), union
+    (assembling dependency tables), difference and intersection.
+    Set-producing operators ([union], [except], [intersect]) return
+    duplicate-free tables; [project] preserves multiplicity like its SQL
+    counterpart.  Selection, joins, grouping, sorting and limits run
+    through {!Planner} (programmatically: {!Planner.select},
+    {!Planner.equi_join}, {!Planner.group_count}, {!Planner.distinct}). *)
 
 exception Schema_clash of string
-(** Raised by {!cross} when operand schemas share a column name. *)
+(** Raised by {!cross} (and {!Batch.join_tables}) when operand schemas
+    share a column name. *)
 
 exception Incompatible_schemas of string
-
-val select : ?funcs:Expr.funcs -> Expr.t -> Table.t -> Table.t
-(** Keep rows satisfying the predicate. *)
 
 val project : string list -> Table.t -> Table.t
 (** Keep (and reorder to) the named columns; duplicates are retained — pair
@@ -39,31 +40,12 @@ val union_many : name:string -> Schema.t -> Table.t list -> Table.t
 val except : Table.t -> Table.t -> Table.t
 val intersect : Table.t -> Table.t -> Table.t
 
-val equi_join : on:(string * string) list -> Table.t -> Table.t -> Table.t
-(** [equi_join ~on:[(a1, b1); ...] ta tb]: rows of the product where each
-    [ta.ai = tb.bi]; the result keeps all columns of [ta] and the columns of
-    [tb] that are not join keys.  @raise Schema_clash if a kept [tb] column
-    collides with a [ta] column. *)
+val pair_lineage : Table.t -> Table.t -> (int -> int -> Lineage.row) option
+(** Lineage of a row combined from row [ia] of the first table and row
+    [ib] of the second (joins, products): the union of both parents'
+    contributors.  [None] when neither input carries lineage and
+    tracking is off. *)
 
 val add_column :
   name:string -> (Row.t -> Value.t) -> Table.t -> Table.t
 (** Extend every row with a computed column appended on the right. *)
-
-val group_count : by:string list -> Table.t -> (Row.t * int) list
-(** Multiplicity of each distinct projection onto [by] (used for table
-    statistics reported in the benches). *)
-
-val group_count_lineage :
-  by:string list -> Table.t -> (Row.t * int * Lineage.row) list
-(** {!group_count} plus, per group, the merged base contributors of
-    every member row ({!Lineage.tracking}-style provenance for
-    aggregates).  Synthesizes identity lineage when the input is a
-    base table. *)
-
-val order_by : (string * [ `Asc | `Desc ]) list -> Table.t -> Table.t
-(** Stable sort of the rows by the named columns under {!Value.order}
-    (so [Int]/[Float] cells order numerically); ties keep input order.
-    Backs SQL's [ORDER BY]. *)
-
-val limit : int -> Table.t -> Table.t
-(** Keep the first [n] rows in current order.  Backs SQL's [LIMIT]. *)

@@ -179,35 +179,6 @@ let rec optimize p =
   let p' = rewrite p in
   if p' = p then p else optimize p'
 
-(* ------------------------------------------------------------------ *)
-(* Evaluation                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let rec execute db p =
-  match p with
-  | Scan name -> Database.find db name
-  | Select (e, inner) ->
-      Ops.select ~funcs:(Database.functions db) e (execute db inner)
-  | Project (cols, inner) -> Ops.project cols (execute db inner)
-  | Distinct inner -> Table.distinct (execute db inner)
-  | Sort (keys, inner) -> Ops.order_by keys (execute db inner)
-  | Limit (n, inner) -> Ops.limit n (execute db inner)
-  | Count inner ->
-      Table.of_rows ~name:"<count>"
-        (Schema.of_list [ "count" ])
-        [ [| Value.Int (Table.cardinality (execute db inner)) |] ]
-  | Group_count (cols, inner) ->
-      Table.of_rows ~name:"<group>"
-        (Schema.of_list (cols @ [ "count" ]))
-        (List.map
-           (fun (key, n) -> Array.append key [| Value.Int n |])
-           (Ops.group_count ~by:cols (execute db inner)))
-  | Union (a, b) -> Ops.union (execute db a) (execute db b)
-  | Except (a, b) -> Ops.except (execute db a) (execute db b)
-  | Intersect (a, b) -> Ops.intersect (execute db a) (execute db b)
-  | Join (on, a, b) -> Ops.equi_join ~on (execute db a) (execute db b)
-  | Empty cols -> Table.create ~name:"<empty>" (Schema.of_list cols)
-
 let explain p =
   let buf = Buffer.create 256 in
   let rec go indent p =
@@ -251,10 +222,3 @@ let explain p =
   in
   go 0 p;
   Buffer.contents buf
-
-let optimize_to_fixpoint = optimize
-
-let run ?(optimize = true) db src =
-  let plan = of_query (Sql_parser.parse_query src) in
-  let plan = if optimize then optimize_to_fixpoint plan else plan in
-  execute db plan

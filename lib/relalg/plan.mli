@@ -7,9 +7,9 @@
     merging, pushing selections below projections and through set
     operators, and short-circuiting provably-empty branches.
 
-    {!execute} evaluates a plan against a database; optimization is
-    semantics-preserving ({!optimize} then {!execute} equals direct
-    execution — property-tested in the test suite). *)
+    {!Planner} annotates an optimized plan with costs and executes it;
+    optimization is semantics-preserving (the test suite checks optimized
+    execution against direct execution of the unoptimized plan). *)
 
 type t =
   | Scan of string  (** a named table *)
@@ -26,7 +26,8 @@ type t =
   | Group_count of string list * t  (** one row per key with a count *)
   | Join of (string * string) list * t * t
       (** equi-join on [(left col, right col)] pairs; output schema is all
-          left columns then the non-key right columns, as {!Ops.equi_join} *)
+          left columns then the non-key right columns, as
+          {!Batch.join_tables} *)
   | Empty of string list  (** a provably-empty relation with this schema *)
 
 val of_query : Sql_ast.query -> t
@@ -40,10 +41,5 @@ val simplify_predicate : Expr.t -> Expr.t
     [x AND true = x], [not (not p) = p], ['a' = 'b'] folds to [false],
     ternaries with constant conditions collapse, etc. *)
 
-val execute : Database.t -> t -> Table.t
-
 val explain : t -> string
 (** Indented tree rendering, EXPLAIN-style. *)
-
-val run : ?optimize:bool -> Database.t -> string -> Table.t
-(** Parse, plan, optionally optimize, execute. *)

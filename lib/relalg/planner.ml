@@ -1,24 +1,16 @@
 (* Cost-based planning: annotate a logical {!Plan.t} with cardinality
    estimates from per-column dictionary sizes and table row counts, pick
-   physical operators (hash-join build side, top-k instead of
-   sort-then-limit), and execute through the vectorized {!Batch} layer.
-   The row-at-a-time {!Ops} path stays behind as the reference engine:
-   [ASURA_PLANNER=off] disables planning globally, and lineage tracking
-   disables it implicitly because batches carry no provenance. *)
-
-let enabled () =
-  match Sys.getenv_opt "ASURA_PLANNER" with
-  | Some ("off" | "0" | "false" | "OFF") -> false
-  | _ -> true
-
-let active () = enabled () && not (Lineage.tracking ())
+   physical operators (index scan for an indexed equality, hash-join
+   build side, top-k instead of sort-then-limit), and execute through the
+   vectorized {!Batch} layer, which carries lineage when it is tracked.
+   This is the only relational executor. *)
 
 (* ASURA_PLAN_BUILD=left|right overrides the hash-join build-side choice
    everywhere (annotation and the programmatic [equi_join]).  This is
    the deterministic "planted plan regression" knob: the structural
    fingerprint covers the build side, so flipping it is exactly what
    `asura plan diff --strict` and the CI plan gate must catch.  Read
-   dynamically, like ASURA_PLANNER. *)
+   dynamically. *)
 let forced_build_side () =
   match Sys.getenv_opt "ASURA_PLAN_BUILD" with
   | Some ("left" | "LEFT" | "l") -> Some true
@@ -34,6 +26,12 @@ type keys = (string * [ `Asc | `Desc ]) list
 
 type op =
   | Scan of string
+  | Index_scan of {
+      table : string;
+      column : string;
+      value : Value.t;
+      index : Index.t;
+    }
   | Filter of Expr.t
   | Project of string list
   | Distinct
@@ -207,15 +205,61 @@ let rec push_into_joins db (p : Plan.t) : Plan.t =
 let node op est cost children =
   { op; est; cost; actual = -1; ns = 0L; batches = 0; children }
 
-let rec annotate db (p : Plan.t) : t * stats =
+(* Indexes built over exactly the table [name] now holds: one whose
+   source is another snapshot (a different {!Table.id}) is stale and
+   ignored. *)
+let usable_indexes indexes db name =
+  match Database.find_opt db name with
+  | None -> []
+  | Some t ->
+      List.filter
+        (fun ix -> Table.id (Index.source ix) = Table.id t)
+        indexes
+
+(* The first [col = literal] conjunct on an indexed column, with the
+   index and the remaining conjuncts. *)
+let split_indexable indexes pred =
+  let index_on c = List.find_opt (fun ix -> Index.column ix = c) indexes in
+  let rec go seen = function
+    | [] -> None
+    | ((Expr.Eq (Expr.Col c, Expr.Const v) | Expr.Eq (Expr.Const v, Expr.Col c))
+       as e)
+      :: rest -> (
+        match index_on c with
+        | Some ix -> Some (ix, v, List.rev_append seen rest)
+        | None -> go (e :: seen) rest)
+    | e :: rest -> go (e :: seen) rest
+  in
+  go [] (conjuncts pred)
+
+let filter_node e (c, st) =
+  let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
+  (node (Filter e) rows (c.cost +. st.rows) [ c ], restrict st rows)
+
+let rec annotate ~indexes db (p : Plan.t) : t * stats =
+  let annotate = annotate ~indexes in
   match p with
   | Plan.Scan name ->
       let st = scan_stats db name in
       (node (Scan name) st.rows st.rows [], st)
-  | Plan.Select (e, inner) ->
-      let c, st = annotate db inner in
-      let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
-      (node (Filter e) rows (c.cost +. st.rows) [ c ], restrict st rows)
+  (* a filter over a scan with an indexed [col = literal] conjunct reads
+     only the matching rows through the index; the other conjuncts
+     filter above it *)
+  | Plan.Select (e, (Plan.Scan name as scan)) -> (
+      match split_indexable (usable_indexes indexes db name) e with
+      | None -> filter_node e (annotate db scan)
+      | Some (index, value, rest) ->
+          let st = scan_stats db name in
+          let column = Index.column index in
+          let rows = st.rows /. ndv_of st column in
+          let leaf =
+            ( node
+                (Index_scan { table = name; column; value; index })
+                rows rows [],
+              restrict st rows )
+          in
+          if rest = [] then leaf else filter_node (Expr.conj rest) leaf)
+  | Plan.Select (e, inner) -> filter_node e (annotate db inner)
   | Plan.Project (cols, inner) ->
       let c, st = annotate db inner in
       let st =
@@ -318,8 +362,8 @@ let rec annotate db (p : Plan.t) : t * stats =
       ( node (Nothing cols) 0. 0. [],
         { rows = 0.; cols; ndv = List.map (fun c -> (c, 1.)) cols } )
 
-let plan db (p : Plan.t) : t =
-  fst (annotate db (push_into_joins db (Plan.optimize p)))
+let plan ?(indexes = []) db (p : Plan.t) : t =
+  fst (annotate ~indexes db (push_into_joins db (Plan.optimize p)))
 
 (* ---------------------------- fingerprint ----------------------------- *)
 
@@ -412,6 +456,11 @@ let rec canon lookup n =
   match n.op with
   | Scan name ->
       ([ "scan:" ^ name ], Option.value ~default:[] (lookup name))
+  | Index_scan { table; column; value; _ } ->
+      let cols = Option.value ~default:[] (lookup table) in
+      ( [ Printf.sprintf "indexscan:%s:%s=%s" table (col_ref cols column)
+            (Value.to_sql value) ],
+        cols )
   | Filter e ->
       let parts, cols = child () in
       (("filter:" ^ conj_string cols e) :: parts, cols)
@@ -497,6 +546,10 @@ let rec source_of db (n : t) : Batch.source =
       let t = Database.find db name in
       n.actual <- Table.cardinality t;
       timed n (Batch.of_table t)
+  | Index_scan { index; value; _ }, [] ->
+      let rows = Array.of_list (Index.lookup_idx index value) in
+      n.actual <- Array.length rows;
+      timed n (Batch.of_rows (Index.source index) rows)
   | Filter e, [ c ] ->
       n.actual <- 0;
       timed n
@@ -526,7 +579,7 @@ and execute db (n : t) : Table.t =
   in
   match (n.op, n.children) with
   | Scan name, [] -> record (Database.find db name)
-  | (Filter _ | Project _ | Limit _), _ ->
+  | (Index_scan _ | Filter _ | Project _ | Limit _), _ ->
       (* a streaming chain asked to produce a table: drain it *)
       Batch.to_table ~name:"<batch>" (source_of db n)
   | Distinct, [ c ] ->
@@ -563,6 +616,8 @@ and execute db (n : t) : Table.t =
 
 let op_string = function
   | Scan name -> "seq scan " ^ name
+  | Index_scan { table; column; value; _ } ->
+      Printf.sprintf "index scan %s.%s = %s" table column (Value.to_sql value)
   | Filter e -> Format.asprintf "filter %a" Expr.pp e
   | Project cols -> Printf.sprintf "project [%s]" (String.concat ", " cols)
   | Distinct -> "distinct"
@@ -605,8 +660,8 @@ let render root =
   go 0 root;
   Buffer.contents buf
 
-let explain db src =
-  render (plan db (Plan.of_query (Sql_parser.parse_query src)))
+let explain ?indexes db src =
+  render (plan ?indexes db (Plan.of_query (Sql_parser.parse_query src)))
 
 (* ------------------------- plan observatory --------------------------- *)
 
@@ -651,7 +706,7 @@ let run_annotated ?query db root =
     (Table.cardinality t);
   t
 
-let run_plan db p = run_annotated db (plan db p)
+let run_plan ?indexes db p = run_annotated db (plan ?indexes db p)
 
 let run_query ?label db (q : Sql_ast.query) =
   let query =
@@ -671,13 +726,13 @@ type report = {
   fingerprint : string;
 }
 
-let analyze db src =
+let analyze ?indexes db src =
   Obs.Trace.with_span ~cat:"relalg"
     ~args:[ ("query", Obs.Json.Str src) ]
     "sql.planner_analyze"
   @@ fun () ->
   let t0 = Obs.Clock.now_ns () in
-  let root = plan db (Plan.of_query (Sql_parser.parse_query src)) in
+  let root = plan ?indexes db (Plan.of_query (Sql_parser.parse_query src)) in
   let table = Table.with_name "<query>" (execute db root) in
   let total_ns = Obs.Clock.since t0 in
   observe ~query:src ~lookup:(db_lookup db) root total_ns
@@ -727,13 +782,12 @@ let to_json r =
 (* ----------------------- programmatic operators ----------------------- *)
 
 (* Direct entry points for consumers that build operator chains in code
-   (solver, checkers, bench) rather than through SQL: vectorized when
-   the planner is on and inputs are lineage-free, reference otherwise.
-   [Batch.join_tables] double-checks lineage itself.
+   (solver, checkers, mapping, bench) rather than through SQL, on the
+   same vectorized operators (lineage included).
 
-   Each vectorized path reports to the plan observatory through a small
-   synthetic annotated tree — scan children under the one real operator
-   — built with the same estimators annotation uses, so sys.plans shows
+   Each call reports to the plan observatory through a small synthetic
+   annotated tree — scan children under the one real operator — built
+   with the same estimators annotation uses, so sys.plans shows
    est-vs-actual for programmatic plans exactly like SQL ones.  All of
    that is gated on {!Obs.Config.on}: an uninstrumented run pays two
    clock reads per call and nothing else. *)
@@ -761,92 +815,73 @@ let scan_node t st =
   n
 
 let equi_join ~on ta tb =
-  if enabled () then begin
-    let na = Table.cardinality ta and nb = Table.cardinality tb in
-    (* same <= tie-break annotation uses, overridable for plan-gate
-       regression drills *)
-    let build_left = choose_build_side ~auto:(na <= nb) in
-    let t0 = Obs.Clock.now_ns () in
-    let out = Batch.join_tables ~build_left ~on ta tb in
-    let total = Obs.Clock.since t0 in
-    if Obs.Config.on () then begin
-      let sta = table_stats ta and stb = table_stats tb in
-      let key_sel =
-        List.fold_left
-          (fun acc (l, r) -> acc /. max (ndv_of sta l) (ndv_of stb r))
-          1. on
-      in
-      let rows = sta.rows *. stb.rows *. key_sel in
-      let ca = scan_node ta sta and cb = scan_node tb stb in
-      let root =
-        node
-          (Hash_join { on; build_left })
-          rows
-          (ca.cost +. cb.cost +. sta.rows +. stb.rows +. rows)
-          [ ca; cb ]
-      in
-      observe_tables root total out [ ta; tb ]
-    end;
-    out
-  end
-  else Ops.equi_join ~on ta tb
-
-let lineage_free t = Table.lineage t = None
+  let na = Table.cardinality ta and nb = Table.cardinality tb in
+  (* same <= tie-break annotation uses, overridable for plan-gate
+     regression drills *)
+  let build_left = choose_build_side ~auto:(na <= nb) in
+  let t0 = Obs.Clock.now_ns () in
+  let out = Batch.join_tables ~build_left ~on ta tb in
+  let total = Obs.Clock.since t0 in
+  if Obs.Config.on () then begin
+    let sta = table_stats ta and stb = table_stats tb in
+    let key_sel =
+      List.fold_left
+        (fun acc (l, r) -> acc /. max (ndv_of sta l) (ndv_of stb r))
+        1. on
+    in
+    let rows = sta.rows *. stb.rows *. key_sel in
+    let ca = scan_node ta sta and cb = scan_node tb stb in
+    let root =
+      node
+        (Hash_join { on; build_left })
+        rows
+        (ca.cost +. cb.cost +. sta.rows +. stb.rows +. rows)
+        [ ca; cb ]
+    in
+    observe_tables root total out [ ta; tb ]
+  end;
+  out
 
 let select ?funcs e t =
-  if active () && lineage_free t then begin
-    let t0 = Obs.Clock.now_ns () in
-    let out =
-      Batch.to_table ~name:(Table.name t)
-        (Batch.select ?funcs e (Batch.of_table t))
-    in
-    let total = Obs.Clock.since t0 in
-    if Obs.Config.on () then begin
-      let st = table_stats t in
-      let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
-      let c = scan_node t st in
-      let root = node (Filter e) rows (c.cost +. st.rows) [ c ] in
-      observe_tables root total out [ t ]
-    end;
-    out
-  end
-  else Ops.select ?funcs e t
+  let t0 = Obs.Clock.now_ns () in
+  let out =
+    Batch.to_table ~name:(Table.name t)
+      (Batch.select ?funcs e (Batch.of_table t))
+  in
+  let total = Obs.Clock.since t0 in
+  if Obs.Config.on () then begin
+    let st = table_stats t in
+    let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
+    let c = scan_node t st in
+    let root = node (Filter e) rows (c.cost +. st.rows) [ c ] in
+    observe_tables root total out [ t ]
+  end;
+  out
 
 let group_count ~by t =
-  if active () && lineage_free t then begin
-    let t0 = Obs.Clock.now_ns () in
-    (* project before scanning so the stream only reads the grouping
-       columns, not the table's full arity *)
-    let out = Batch.group_table ~by (Batch.of_table (Ops.project by t)) in
-    let total = Obs.Clock.since t0 in
-    if Obs.Config.on () then begin
-      let st = table_stats t in
-      let rows = distinct_est st by in
-      let c = scan_node t st in
-      let root = node (Group by) rows (c.cost +. st.rows) [ c ] in
-      observe_tables root total out [ t ]
-    end;
-    out
-  end
-  else
-    Table.of_rows ~name:"<group>"
-      (Schema.of_list (by @ [ "count" ]))
-      (List.map
-         (fun (key, n) -> Array.append key [| Value.Int n |])
-         (Ops.group_count ~by t))
+  let t0 = Obs.Clock.now_ns () in
+  (* project before scanning so the stream only reads the grouping
+     columns, not the table's full arity *)
+  let out = Batch.group_table ~by (Batch.of_table (Ops.project by t)) in
+  let total = Obs.Clock.since t0 in
+  if Obs.Config.on () then begin
+    let st = table_stats t in
+    let rows = distinct_est st by in
+    let c = scan_node t st in
+    let root = node (Group by) rows (c.cost +. st.rows) [ c ] in
+    observe_tables root total out [ t ]
+  end;
+  out
 
 let distinct t =
-  if active () && lineage_free t then begin
-    let t0 = Obs.Clock.now_ns () in
-    let out = Batch.distinct_table ~name:(Table.name t) (Batch.of_table t) in
-    let total = Obs.Clock.since t0 in
-    if Obs.Config.on () then begin
-      let st = table_stats t in
-      let rows = distinct_est st st.cols in
-      let c = scan_node t st in
-      let root = node Distinct rows (c.cost +. st.rows) [ c ] in
-      observe_tables root total out [ t ]
-    end;
-    out
-  end
-  else Table.distinct t
+  let t0 = Obs.Clock.now_ns () in
+  let out = Batch.distinct_table ~name:(Table.name t) (Batch.of_table t) in
+  let total = Obs.Clock.since t0 in
+  if Obs.Config.on () then begin
+    let st = table_stats t in
+    let rows = distinct_est st st.cols in
+    let c = scan_node t st in
+    let root = node Distinct rows (c.cost +. st.rows) [ c ] in
+    observe_tables root total out [ t ]
+  end;
+  out

@@ -5,95 +5,25 @@ let error fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
 let obs_reg = lazy (Obs.Metrics.registry "relalg")
 let obs_counter name = Obs.Metrics.counter (Lazy.force obs_reg) name
 
-(* The reference row-at-a-time interpreter: one {!Ops} call per clause,
-   in the fixed textbook order.  Kept verbatim as the differential-test
-   oracle for the cost-based planner below. *)
-let rec run_query_reference db (q : Sql_ast.query) =
-  match q with
-  | Select { distinct; columns; from; where; order_by; limit } ->
-      let table =
-        match Database.find_opt db from with
-        | Some t -> t
-        | None -> error "unknown table %s" from
-      in
-      let table =
-        match where with
-        | None -> table
-        | Some pred -> Ops.select ~funcs:(Database.functions db) pred table
-      in
-      let dir = function Sql_ast.Asc -> `Asc | Sql_ast.Desc -> `Desc in
-      let sort t =
-        match order_by with
-        | [] -> t
-        | keys -> Ops.order_by (List.map (fun (c, d) -> (c, dir d)) keys) t
-      in
-      (* Plain projections sort {e upstream}, so ORDER BY may use
-         columns the SELECT list drops (projection preserves row
-         order).  Aggregates sort downstream, over their output columns
-         ([count] included). *)
-      let table, sorted =
-        match columns with
-        | Sql_ast.Star -> (sort table, true)
-        | Sql_ast.Columns cols -> (Ops.project cols (sort table), true)
-        | Sql_ast.Count ->
-            ( Table.of_rows ~name:"<count>"
-                (Schema.of_list [ "count" ])
-                [ [| Value.Int (Table.cardinality table) |] ],
-              false )
-        | Sql_ast.Group_count cols ->
-            let groups = Ops.group_count ~by:cols table in
-            ( Table.of_rows ~name:"<group>"
-                (Schema.of_list (cols @ [ "count" ]))
-                (List.map
-                   (fun (key, n) -> Array.append key [| Value.Int n |])
-                   groups),
-              false )
-      in
-      let table = if distinct then Table.distinct table else table in
-      let table = if sorted then table else sort table in
-      let table =
-        match limit with None -> table | Some n -> Ops.limit n table
-      in
-      Table.with_name "<query>" table
-  | Union (a, b) ->
-      Ops.union (run_query_reference db a) (run_query_reference db b)
-  | Except (a, b) ->
-      Ops.except (run_query_reference db a) (run_query_reference db b)
-  | Intersect (a, b) ->
-      Ops.intersect (run_query_reference db a) (run_query_reference db b)
-
 let rec referenced_tables (q : Sql_ast.query) =
   match q with
   | Select { from; _ } -> [ from ]
   | Union (a, b) | Except (a, b) | Intersect (a, b) ->
       referenced_tables a @ referenced_tables b
 
-(* Dispatch: the cost-based planner runs the query through the
-   vectorized engine when it is active and no referenced table carries
-   lineage (provenance must flow through the reference operators).
-   Unknown tables are reported with the reference path's error message
-   either way.  Planner executions land in the plan observatory under
-   [label] (the SQL text when coming through {!query}); the "sql" site
-   applies only when no more specific call-site label (invariant id,
-   solver phase) is already active. *)
+(* Every query runs through the cost-based planner; unknown tables are
+   reported as [Exec_error] before planning.  Executions land in the plan
+   observatory under [label] (the SQL text when coming through {!query});
+   the "sql" site applies only when no more specific call-site label
+   (invariant id, solver phase) is already active. *)
 let run_query ?label db (q : Sql_ast.query) =
-  let tables =
-    List.map
-      (fun name ->
-        match Database.find_opt db name with
-        | Some t -> t
-        | None -> error "unknown table %s" name)
-      (referenced_tables q)
-  in
-  if
-    Planner.active ()
-    && List.for_all (fun t -> Table.lineage t = None) tables
-  then
-    let run () = Planner.run_query ?label db q in
-    match Obs.Planlog.site () with
-    | None -> Obs.Planlog.with_site "sql" run
-    | Some _ -> run ()
-  else run_query_reference db q
+  List.iter
+    (fun name -> if not (Database.mem db name) then error "unknown table %s" name)
+    (referenced_tables q);
+  let run () = Planner.run_query ?label db q in
+  match Obs.Planlog.site () with
+  | None -> Obs.Planlog.with_site "sql" run
+  | Some _ -> run ()
 
 (* sys.* tables are engine-materialized snapshots: readable like any
    table, but not a valid target for DDL/DML. *)

@@ -8,18 +8,13 @@
 exception Exec_error of string
 
 val run_query : ?label:string -> Database.t -> Sql_ast.query -> Table.t
-(** Evaluate a query AST.  The result table is named ["<query>"] unless
-    produced by [CREATE TABLE … AS].  Dispatches to the cost-based
-    {!Planner} (vectorized execution) when it is active and no
-    referenced table carries lineage; otherwise runs the row-at-a-time
-    reference interpreter ({!run_query_reference}).  Planner executions
-    are recorded in the plan observatory under [label] (default: the
+(** Evaluate a query AST through the cost-based {!Planner} (vectorized
+    execution, lineage carried when tracked).  The result table is named
+    ["<query>"] unless produced by [CREATE TABLE … AS].  Executions are
+    recorded in the plan observatory under [label] (default: the
     pretty-printed query), at site ["sql"] unless a more specific
-    {!Obs.Planlog.with_site} label is active. *)
-
-val run_query_reference : Database.t -> Sql_ast.query -> Table.t
-(** The row-at-a-time reference interpreter, unconditionally — the
-    oracle the planner is differentially tested against. *)
+    {!Obs.Planlog.with_site} label is active.
+    @raise Exec_error on a table the database does not hold. *)
 
 val run_statement : Database.t -> Sql_ast.statement -> Database.t * Table.t option
 (** Evaluate a statement; [CREATE TABLE AS] / [INSERT] / [DROP] return the

@@ -44,8 +44,9 @@ val is_empty : t -> bool
 val id : t -> int
 (** A unique identity for this table value's storage version.  Any
     operation that produces a new table — including {!add} — yields a
-    fresh id, so caches (e.g. the index cache in {!Physical}) can detect
-    that a table registered under the same name has been replaced. *)
+    fresh id, so derived structures (e.g. an {!Index.t}, which the planner
+    uses only while its source is the table registered under that name)
+    can detect that the table has been replaced. *)
 
 val add : t -> Row.t -> t
 (** Append one row, O(1) amortized (the columnar buffers are extended in
@@ -100,7 +101,7 @@ val row_assoc : t -> Row.t -> (string * Value.t) list
 
 (** {1 Columnar access}
 
-    The physical layer ({!Ops}, {!Index}, {!Physical}) operates on these.
+    The physical layer ({!Batch}, {!Ops}, {!Index}) operates on these.
     The returned arrays are the live backing buffers: only indices
     [0 .. cardinality - 1] are meaningful, and callers must never mutate
     them. *)

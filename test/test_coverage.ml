@@ -330,10 +330,23 @@ let test_stats_and_explain_schemas () =
   check "stats schema" true
     (schema_of (Relalg.Profile.to_json (Relalg.Profile.profile d))
     = Some "asura-stats/1");
-  let store = Relalg.Physical.make_store (Protocol.database ()) in
-  let r = Relalg.Analyze.run ~indexes:[] store "SELECT inmsg FROM M" in
+  let r = Relalg.Planner.analyze (Protocol.database ()) "SELECT inmsg FROM M" in
   check "explain schema" true
-    (schema_of (Relalg.Analyze.to_json r) = Some "asura-explain/1")
+    (schema_of (Relalg.Planner.to_json r) = Some "asura-explain/2");
+  (* explain --analyze output saved by older builds still aggregates *)
+  let v1 =
+    Obs.Json.Obj
+      [
+        ("schema", Obs.Json.Str "asura-explain/1");
+        ("rows", Obs.Json.Int 3);
+        ("total_ns", Obs.Json.Float 1000.);
+        ("physical", Obs.Json.Str "seq scan M\n");
+      ]
+  in
+  check "asura-explain/1 still classifies" true
+    (match Obs.Runreport.classify v1 with
+    | Ok (Obs.Runreport.Explain _) -> true
+    | _ -> false)
 
 (* ----------------------------- runreport ------------------------------ *)
 

@@ -5,9 +5,10 @@
    on the VC2/VC4 assignment the deadlock explanation must name the wb
    and readex transitions and their virtual channels, with each witness
    traced back to concrete controller rows.  The qcheck properties pin
-   the semantic contract of lineage itself: decoding a derived row's
-   contributors through the source registry reproduces the row (select),
-   or at least covers its cells (project, join). *)
+   the semantic contract of lineage itself, through the production
+   executor (SQL via Sql_exec, programmatic joins via Planner): decoding
+   a derived row's contributors through the source registry reproduces
+   the row (select), or at least covers its cells (project, join). *)
 
 open Relalg
 
@@ -37,9 +38,9 @@ let test_tracking_off_is_free () =
       (Schema.of_list [ "k"; "x" ])
       [ Row.strings [ "a"; "b" ]; Row.strings [ "c"; "d" ] ]
   in
-  let sel = Ops.select (Expr.eq "k" "a") t in
+  let sel = Planner.select (Expr.eq "k" "a") t in
   check_bool "derived table carries no lineage" true (Table.lineage sel = None);
-  let j = Ops.equi_join ~on:[ ("k", "k") ] t (Ops.rename [ ("x", "y") ] t) in
+  let j = Planner.equi_join ~on:[ ("k", "k") ] t (Ops.rename [ ("x", "y") ] t) in
   check_bool "join carries no lineage" true (Table.lineage j = None)
 
 let test_with_tracking_restores () =
@@ -70,7 +71,7 @@ let test_group_count_lineage () =
         Row.strings [ "b"; "r" ];
       ]
   in
-  let groups = Ops.group_count_lineage ~by:[ "k" ] t in
+  let groups = Oracle.group_count_lineage ~by:[ "k" ] t in
   check_int "two groups" 2 (List.length groups);
   let _, count_a, lin_a =
     List.find (fun (row, _, _) -> row.(0) = Value.Str "a") groups
@@ -149,7 +150,11 @@ let prop_select_lineage =
        ~print:(fun (t, v) -> Printf.sprintf "%s, k=%s" (print_table t) v))
     (fun (t, v) ->
       Lineage.with_tracking @@ fun () ->
-      let sel = Ops.select (Expr.eq "k" v) t in
+      let sel =
+        Sql_exec.query
+          (Database.add Database.empty t)
+          (Printf.sprintf "SELECT * FROM t WHERE k = '%s'" v)
+      in
       let lin = Option.get (Table.lineage sel) in
       Array.length lin = Table.cardinality sel
       && for_all_i
@@ -168,7 +173,9 @@ let prop_project_lineage =
        ~print:print_table)
     (fun t ->
       Lineage.with_tracking @@ fun () ->
-      let p = Table.distinct (Ops.project [ "x"; "k" ] t) in
+      let p =
+        Sql_exec.query (Database.add Database.empty t) "SELECT DISTINCT x, k FROM t"
+      in
       let lin = Option.get (Table.lineage p) in
       for_all_i
         (fun i contribs ->
@@ -192,7 +199,7 @@ let prop_join_lineage =
          Printf.sprintf "%s, %s" (print_table a) (print_table b)))
     (fun (a, b) ->
       Lineage.with_tracking @@ fun () ->
-      let j = Ops.equi_join ~on:[ ("k", "k") ] a b in
+      let j = Planner.equi_join ~on:[ ("k", "k") ] a b in
       let lin = Option.get (Table.lineage j) in
       Array.length lin = Table.cardinality j
       && for_all_i

@@ -21,7 +21,7 @@ let test_ed_shape () =
 
 let test_ed_blocked_requests_retry () =
   let ed = Lazy.force ed in
-  let blocked = Ops.select (Expr.eq "qstatus" "Full") ed in
+  let blocked = Planner.select (Expr.eq "qstatus" "Full") ed in
   check "blocked variants exist" true (not (Table.is_empty blocked));
   check "every blocked request retries or feeds back" true
     (List.for_all
@@ -38,7 +38,7 @@ let test_ed_blocked_requests_retry () =
 let test_ed_feedback_on_full_update_queue () =
   let ed = Lazy.force ed in
   let deferred =
-    Ops.select Expr.(eq "dqstatus" "Full" &&& eq_null "qstatus") ed
+    Planner.select Expr.(eq "dqstatus" "Full" &&& eq_null "qstatus") ed
   in
   check "deferred variants exist" true (not (Table.is_empty deferred));
   check "deferrals only feed back" true
@@ -51,7 +51,7 @@ let test_ed_feedback_on_full_update_queue () =
 
 let test_ed_dfdback_rows () =
   let ed = Lazy.force ed in
-  let replays = Ops.select (Expr.eq "inmsg" "dfdback") ed in
+  let replays = Planner.select (Expr.eq "inmsg" "dfdback") ed in
   check "replay rows exist" true (not (Table.is_empty replays));
   check "replays carry their originating response" true
     (List.for_all (fun row -> str_cell replays row "fdctx" <> "-")
@@ -64,7 +64,7 @@ let test_ed_unblocked_preserves_d () =
   let ed = Lazy.force ed in
   let d = Protocol.Dir_controller.table () in
   let normal =
-    Ops.select
+    Planner.select
       Expr.(
         eq_null "fdctx"
         &&& Not (eq "inmsg" "dfdback")

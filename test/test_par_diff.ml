@@ -231,41 +231,6 @@ let prop_factorized_vs_oracle =
       List.for_all (fun (o, _) -> o = oracle) runs
       && List.for_all (fun (_, p) -> p = snd (List.hd runs)) runs)
 
-(* --------------------- relational-operator differential --------------- *)
-
-let wide_table_gen =
-  QCheck.Gen.(
-    let* n = int_range 0 1500 in
-    let* rows =
-      list_repeat n
-        (let* k = oneofl value_pool in
-         let* x = int_bound 9 in
-         return [| Value.Str k; Value.Int x |])
-    in
-    return (Table.of_rows ~name:"t" (Schema.of_list [ "k"; "x" ]) rows))
-
-let prop_select_diff =
-  QCheck.Test.make ~count:100
-    ~name:"parallel selection identical across 1/2/4 domains"
-    (QCheck.make
-       QCheck.Gen.(pair wide_table_gen (oneofl value_pool))
-       ~print:(fun (t, v) ->
-         Printf.sprintf "%d rows, k=%s" (Table.cardinality t) v))
-    (fun (t, v) ->
-      agree (fun () -> Table.rows (Ops.select (Expr.eq "k" v) t)))
-
-let prop_join_diff =
-  QCheck.Test.make ~count:100
-    ~name:"parallel hash-join probe identical across 1/2/4 domains"
-    (QCheck.make
-       QCheck.Gen.(pair wide_table_gen wide_table_gen)
-       ~print:(fun (a, b) ->
-         Printf.sprintf "%d x %d rows" (Table.cardinality a)
-           (Table.cardinality b)))
-    (fun (a, b) ->
-      let b = Ops.rename [ "k", "k"; "x", "y" ] b in
-      agree (fun () -> Table.rows (Ops.equi_join ~on:[ "k", "k" ] a b)))
-
 (* ----------------------- deadlock-check differential ------------------ *)
 
 let assignment_gen =
@@ -592,8 +557,6 @@ let suite =
   [
     Test_seed.to_alcotest prop_generate_diff;
     Test_seed.to_alcotest prop_monolithic_diff;
-    Test_seed.to_alcotest prop_select_diff;
-    Test_seed.to_alcotest prop_join_diff;
     Test_seed.to_alcotest prop_deadlock_diff;
     Test_seed.to_alcotest prop_mcheck_diff;
     Test_seed.to_alcotest prop_mcheck_steal_diff;

@@ -87,8 +87,8 @@ let queries =
 let test_optimizer_preserves_semantics () =
   List.iter
     (fun src ->
-      let direct = Plan.run ~optimize:false db src in
-      let optimized = Plan.run ~optimize:true db src in
+      let direct = Oracle.run ~optimize:false db src in
+      let optimized = Oracle.run ~optimize:true db src in
       check ("same result: " ^ src) true
         (Table.equal_as_sets direct optimized))
     queries
@@ -97,7 +97,7 @@ let test_plan_matches_executor () =
   List.iter
     (fun src ->
       check ("plan = executor: " ^ src) true
-        (Table.equal_as_sets (Plan.run db src) (Sql_exec.query db src)))
+        (Table.equal_as_sets (Oracle.run db src) (Sql_exec.query db src)))
     queries
 
 let test_explain () =
@@ -148,9 +148,9 @@ let prop_optimize_sound =
     (fun p ->
       (* random Union/Except operands may have incompatible schemas after
          a Project: treat those as trivially passing *)
-      match Plan.execute db p with
+      match Oracle.execute db p with
       | direct ->
-          Table.equal_as_sets direct (Plan.execute db (Plan.optimize p))
+          Table.equal_as_sets direct (Oracle.execute db (Plan.optimize p))
       | exception Ops.Incompatible_schemas _ -> true
       | exception Schema.Unknown_column _ -> true)
 
@@ -182,10 +182,10 @@ let test_group_by () =
   (* with a WHERE clause *)
   let t = Sql_exec.query db "SELECT a, COUNT(*) FROM T WHERE b = '1' GROUP BY a" in
   check_int "filtered groups" 2 (Table.cardinality t);
-  (* planner and physical agree *)
+  (* the reference oracle and the planner agree *)
   let q = "SELECT a, COUNT(*) FROM T WHERE NOT a = 'z' GROUP BY a" in
   check "plan agrees" true
-    (Table.equal_as_sets (Plan.run db q) (Sql_exec.query db q));
+    (Table.equal_as_sets (Oracle.run db q) (Sql_exec.query db q));
   check "mismatched keys rejected" true
     (try
        ignore (Sql_parser.parse_query "SELECT a, COUNT(*) FROM T GROUP BY b");
@@ -234,7 +234,7 @@ let test_csv_roundtrip_derived () =
   let d = Protocol.Dir_controller.table () in
   let sub =
     Ops.project [ "inmsg"; "dirst"; "locmsg" ]
-      (Ops.select (Expr.eq "inmsg" "readex") d)
+      (Planner.select (Expr.eq "inmsg" "readex") d)
   in
   let back = Csv.of_string ~name:"sub" (Csv.to_string sub) in
   check "derived table roundtrips" true (Table.equal_as_sets sub back);

@@ -1,15 +1,15 @@
 (* Differential tests of the cost-based planner and its vectorized
    batch engine (lib/relalg/planner.ml, lib/relalg/batch.ml) against
-   the row-at-a-time reference path.
+   the row-at-a-time reference engine kept in the test-only {!Oracle}.
 
    The contract under test is strong: the planner must reproduce the
-   reference engine's answers *in row order*, not just as multisets —
+   oracle's answers *in row order*, not just as multisets —
    select/project/limit stream in order, group and distinct keep first
    occurrences, sort is stable, and the hash join emits left-major
-   pairs exactly like {!Ops.equi_join}.  The qcheck properties throw
-   random logical plans (including NULL cells, ternary predicates,
-   joins and set operators) at both engines; set QCHECK_SEED to replay
-   a failure. *)
+   pairs — and, with lineage tracking on, the same per-row lineage.  The
+   qcheck properties throw random logical plans (including NULL cells,
+   ternary predicates, joins and set operators) at both engines; set
+   QCHECK_SEED to replay a failure. *)
 
 open Relalg
 
@@ -25,6 +25,15 @@ let contains ~needle haystack =
 let same_table t1 t2 =
   Schema.columns (Table.schema t1) = Schema.columns (Table.schema t2)
   && Table.rows t1 = Table.rows t2
+
+(* the same lineage row by row ([None] only where the other side has no
+   lineage either) *)
+let same_lineage t1 t2 =
+  let at t i = Option.map (fun l -> l.(i)) (Table.lineage t) in
+  Table.cardinality t1 = Table.cardinality t2
+  && List.for_all
+       (fun i -> at t1 i = at t2 i)
+       (List.init (Table.cardinality t1) Fun.id)
 
 let render_rows t =
   String.concat "\n"
@@ -60,11 +69,17 @@ let fixture_db =
 let diff_sql sql =
   let db = Lazy.force fixture_db in
   let q = Sql_parser.parse_query sql in
-  let reference = Sql_exec.run_query_reference db q in
+  let reference = Oracle.run_query db q in
   let planned = Planner.run_query db q in
   if not (same_table reference planned) then
     Alcotest.failf "planner diverges from reference on %s\nreference:\n%s\nplanner:\n%s"
-      sql (render_rows reference) (render_rows planned)
+      sql (render_rows reference) (render_rows planned);
+  (* and with tracking on, row for row the same lineage *)
+  Lineage.with_tracking @@ fun () ->
+  let reference = Oracle.run_query db q in
+  let planned = Sql_exec.run_query db q in
+  if not (same_table reference planned && same_lineage reference planned) then
+    Alcotest.failf "planner lineage diverges from reference on %s" sql
 
 (* ------------------------ SQL differentials --------------------------- *)
 
@@ -88,18 +103,18 @@ let test_sql_differential () =
       "SELECT k FROM a INTERSECT SELECT k FROM b";
     ]
 
-(* The planner is live inside Sql_exec.run_query by default: the public
-   entry point and the reference oracle must agree on a real workload. *)
+(* The planner runs every query behind Sql_exec.run_query: the public
+   entry point records its plan and agrees with the oracle. *)
 let test_sql_entry_point_uses_planner () =
-  (* under ASURA_PLANNER=off both sides take the reference path and the
-     equality is trivially exercised; with the default the planner is
-     live and must still be bit-identical *)
-  if Planner.enabled () then
-    check_bool "planner active without lineage" true (Planner.active ());
   let db = Lazy.force fixture_db in
   let q = Sql_parser.parse_query "SELECT k, COUNT(*) FROM a GROUP BY k" in
   check_bool "entry point matches oracle" true
-    (same_table (Sql_exec.run_query db q) (Sql_exec.run_query_reference db q))
+    (same_table (Sql_exec.run_query db q) (Oracle.run_query db q));
+  Obs.Planlog.reset ();
+  Obs.Config.with_enabled (fun () -> ignore (Sql_exec.run_query db q));
+  check_bool "the execution is in the plan observatory" true
+    (Obs.Planlog.snapshot () <> []);
+  Obs.Planlog.reset ()
 
 (* ----------------------- top-k under ORDER BY ------------------------- *)
 
@@ -128,7 +143,7 @@ let test_sys_spans_topk () =
       Obs.Trace.reset ();
       let sql = "SELECT name, parent FROM sys.spans ORDER BY name DESC LIMIT 3" in
       let q = Sql_parser.parse_query sql in
-      let reference = Sql_exec.run_query_reference db q in
+      let reference = Oracle.run_query db q in
       let planned = Planner.run_query db q in
       check_int "top-k returns exactly k rows" 3 (Table.cardinality planned);
       check_bool "sys.spans top-k matches reference" true
@@ -163,31 +178,44 @@ let test_explain_unexecuted () =
     (fun needle -> check_bool ("explain shows " ^ needle) true (contains ~needle s))
     [ "est="; "cost="; "actual=-"; "filter"; "sort" ]
 
-(* ----------------------- lineage fallback ----------------------------- *)
+(* --------------------------- lineage ---------------------------------- *)
 
-let test_lineage_forces_reference () =
+let test_lineage_through_planner () =
   let db = Lazy.force fixture_db in
+  let sql = "SELECT * FROM a WHERE k = 'p'" in
   Lineage.with_tracking (fun () ->
-      check_bool "planner inactive under tracking" false (Planner.active ());
-      let r = Sql_exec.query db "SELECT * FROM a WHERE k = 'p'" in
-      check_bool "result carries lineage" true (Table.lineage r <> None));
-  (* and a lineage-carrying input diverts even the programmatic path *)
-  let traced = Lineage.with_tracking (fun () -> Ops.select Expr.True (Database.find db "a")) in
+      Obs.Planlog.reset ();
+      let r = Obs.Config.with_enabled (fun () -> Sql_exec.query db sql) in
+      check_bool "the tracked query was planned" true
+        (Obs.Planlog.snapshot () <> []);
+      Obs.Planlog.reset ();
+      check_bool "result carries lineage" true (Table.lineage r <> None);
+      check_bool "lineage equals the oracle's" true
+        (same_lineage r (Oracle.run_query db (Sql_parser.parse_query sql))));
+  (* a lineage-carrying input keeps its lineage through the programmatic
+     operators even with tracking off; groups carry none *)
+  let traced =
+    Lineage.with_tracking (fun () -> Planner.select Expr.True (Database.find db "a"))
+  in
   check_bool "input has lineage" true (Table.lineage traced <> None);
+  let sel = Planner.select (Expr.eq "k" "p") traced in
+  check_bool "select propagates it" true
+    (same_lineage sel (Oracle.select (Expr.eq "k" "p") traced));
   let g = Planner.group_count ~by:[ "k" ] traced in
-  check_int "fallback group still answers" 4 (Table.cardinality g)
+  check_int "group answers" 4 (Table.cardinality g);
+  check_bool "group carries no lineage" true (Table.lineage g = None)
 
 (* ----------------- join: zero-copy semijoin shape --------------------- *)
 
 (* Joining D back to the distinct summary of its own key columns matches
    every row exactly once in order — the shape Batch.join_tables returns
-   zero-copy.  It must still agree with Ops.equi_join row for row. *)
+   zero-copy.  It must still agree with the oracle's join row for row. *)
 let test_join_identity_shape () =
   let d = Protocol.Dir_controller.table () in
   let on = [ ("dirst", "dirst"); ("dirpv", "dirpv") ] in
   let states = Table.distinct (Ops.project [ "dirst"; "dirpv" ] d) in
   let vec = Batch.join_tables ~on d states in
-  let ref_ = Ops.equi_join ~on d states in
+  let ref_ = Oracle.equi_join ~on d states in
   check_int "every row matches once" (Table.cardinality d) (Table.cardinality vec);
   check_bool "vectorized join equals reference in order" true
     (same_table vec ref_)
@@ -280,9 +308,35 @@ let prop_plan_differential =
            (Table.cardinality b) (Plan.explain p)))
     (fun (a, b, p) ->
       let db = Database.add (Database.add Database.empty a) b in
-      let reference = Plan.execute db p in
+      let reference = Oracle.execute db p in
       let planned = Planner.run_plan db p in
       same_table reference planned)
+
+(* The same 400 random plans with lineage tracking on: rows, row order
+   and every row's lineage must match the oracle's, planned with and
+   without an index on [a.k] (an equality on [k] then reads through an
+   index scan, its other conjuncts filtering the gathered rows). *)
+let prop_plan_lineage_differential =
+  QCheck.Test.make ~count:400
+    ~name:"random plans under tracking: planner lineage equals the oracle's"
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (table_gen ~name:"a" ~cols:[ "k"; "x" ])
+           (table_gen ~name:"b" ~cols:[ "k"; "y" ])
+           plan_gen)
+       ~print:(fun (a, b, p) ->
+         Printf.sprintf "a(%d rows), b(%d rows), %s" (Table.cardinality a)
+           (Table.cardinality b) (Plan.explain p)))
+    (fun (a, b, p) ->
+      Lineage.with_tracking @@ fun () ->
+      let db = Database.add (Database.add Database.empty a) b in
+      let reference = Oracle.execute db p in
+      List.for_all
+        (fun indexes ->
+          let planned = Planner.run_plan ~indexes db p in
+          same_table reference planned && same_lineage reference planned)
+        [ []; [ Index.build a "k" ] ])
 
 (* programmatic operators: the checker/solver-facing entry points *)
 let prop_programmatic_differential =
@@ -298,15 +352,15 @@ let prop_programmatic_differential =
          Printf.sprintf "a(%d rows), b(%d rows), %s" (Table.cardinality a)
            (Table.cardinality b) (Expr.to_sql p)))
     (fun (a, b, p) ->
-      same_table (Planner.select p a) (Ops.select p a)
+      same_table (Planner.select p a) (Oracle.select p a)
       && same_table (Planner.distinct a) (Table.distinct a)
       && Table.rows (Planner.group_count ~by:[ "k" ] a)
          = List.map
              (fun (key, n) -> Array.append key [| Value.Int n |])
-             (Ops.group_count ~by:[ "k" ] a)
+             (Oracle.group_count ~by:[ "k" ] a)
       && same_table
            (Planner.equi_join ~on:[ ("k", "k") ] a b)
-           (Ops.equi_join ~on:[ ("k", "k") ] a b))
+           (Oracle.equi_join ~on:[ ("k", "k") ] a b))
 
 let suite =
   [
@@ -322,10 +376,11 @@ let suite =
       test_analyze_est_vs_actual;
     Alcotest.test_case "explain renders cost estimates unexecuted" `Quick
       test_explain_unexecuted;
-    Alcotest.test_case "lineage tracking falls back to the reference engine"
-      `Quick test_lineage_forces_reference;
+    Alcotest.test_case "lineage tracking runs through the planner"
+      `Quick test_lineage_through_planner;
     Alcotest.test_case "semijoin-shaped hash join matches Ops row for row"
       `Quick test_join_identity_shape;
     QCheck_alcotest.to_alcotest prop_plan_differential;
+    QCheck_alcotest.to_alcotest prop_plan_lineage_differential;
     QCheck_alcotest.to_alcotest prop_programmatic_differential;
   ]

@@ -45,12 +45,13 @@ let prop_select_union =
            (Expr.to_sql p)))
     (fun (a, b, p) ->
       Table.equal_as_sets
-        (Ops.select p (Ops.union a b))
-        (Ops.union (Ops.select p a) (Ops.select p b)))
+        (Planner.select p (Ops.union a b))
+        (Ops.union (Planner.select p a) (Planner.select p b)))
 
 (* The hash index is an access path, not a semantics change: the same
-   query through the physical planner returns the same rows with and
-   without an index on the filtered column. *)
+   query through the planner returns the same rows, in the same order,
+   with and without an index on the filtered column, and with the index
+   it plans as an index scan. *)
 let prop_indexed_scan =
   QCheck.Test.make ~count:500
     ~name:"indexed scan returns the same rows as a sequential scan"
@@ -59,12 +60,18 @@ let prop_indexed_scan =
        ~print:(fun (t, v) -> Printf.sprintf "%s, k=%s" (print_table t) v))
     (fun (t, v) ->
       let db = Database.add Database.empty t in
-      let sql = Printf.sprintf "SELECT * FROM t WHERE k = '%s'" v in
-      let seq = Physical.run (Physical.make_store db) sql in
-      let indexed =
-        Physical.run ~indexes:[ "t", "k" ] (Physical.make_store db) sql
+      let p =
+        Plan.of_query
+          (Sql_parser.parse_query
+             (Printf.sprintf "SELECT * FROM t WHERE k = '%s'" v))
       in
-      Table.equal_as_sets seq indexed)
+      let indexes = [ Index.build t "k" ] in
+      let seq = Planner.run_plan db p in
+      let indexed = Planner.run_plan ~indexes db p in
+      (match (Planner.plan ~indexes db p).Planner.op with
+      | Planner.Index_scan { column = "k"; _ } -> true
+      | _ -> false)
+      && Table.rows seq = Table.rows indexed)
 
 (* a ⋈ b = b ⋈ a on row multisets, modulo column order. *)
 let prop_join_commutes =
@@ -81,8 +88,8 @@ let prop_join_commutes =
       let normalize t =
         List.sort Row.compare (Table.rows (Ops.project [ "k"; "x"; "y" ] t))
       in
-      normalize (Ops.equi_join ~on:[ "k", "k" ] a b)
-      = normalize (Ops.equi_join ~on:[ "k", "k" ] b a))
+      normalize (Planner.equi_join ~on:[ "k", "k" ] a b)
+      = normalize (Planner.equi_join ~on:[ "k", "k" ] b a))
 
 let suite =
   [

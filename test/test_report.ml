@@ -68,7 +68,7 @@ let test_planner_over_protocol () =
      AND NOT locmsg = NULL"
   in
   check "planner agrees with executor on D" true
-    (Relalg.Table.equal_as_sets (Relalg.Plan.run db q)
+    (Relalg.Table.equal_as_sets (Oracle.run db q)
        (Relalg.Sql_exec.query db q))
 
 let suite =

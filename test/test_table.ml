@@ -36,7 +36,7 @@ let test_subset () =
 
 let test_select_project_rename () =
   let tbl = t [ [ "readex"; "local" ]; [ "data"; "home" ]; [ "wb"; "local" ] ] in
-  let locals = Ops.select (Expr.eq "s" "local") tbl in
+  let locals = Planner.select (Expr.eq "s" "local") tbl in
   check_int "select" 2 (cardinal locals);
   let names = Ops.project [ "m" ] locals in
   check_int "project keeps duplicates" 2 (cardinal names);
@@ -78,7 +78,7 @@ let test_equi_join () =
       (Schema.of_list [ "m"; "st" ])
       [ Row.strings [ "readex"; "SI" ]; Row.strings [ "idone"; "Busy" ] ]
   in
-  let j = Ops.equi_join ~on:[ "m", "msg" ] d v in
+  let j = Planner.equi_join ~on:[ "m", "msg" ] d v in
   check_int "join matches" 1 (cardinal j);
   check "joined columns" true (Schema.mem (Table.schema j) "vc");
   check "join key kept once" false (Schema.mem (Table.schema j) "msg")
@@ -87,9 +87,10 @@ let test_add_column_and_group () =
   let tbl = t [ [ "a"; "1" ]; [ "a"; "2" ]; [ "b"; "1" ] ] in
   let wide = Ops.add_column ~name:"k" (fun _ -> Value.str "x") tbl in
   check_int "added column arity" 3 (Table.arity wide);
-  let counts = Ops.group_count ~by:[ "m" ] tbl in
-  check_int "groups" 2 (List.length counts);
-  check_int "count of a" 2 (List.assoc (Row.strings [ "a" ]) counts)
+  let counts = Planner.group_count ~by:[ "m" ] tbl in
+  check_int "groups" 2 (cardinal counts);
+  check "count of a" true
+    (List.mem [| Value.str "a"; Value.Int 2 |] (Table.rows counts))
 
 (* set-algebra properties on random small tables *)
 let rows_gen =
@@ -118,7 +119,7 @@ let prop_select_partition =
       let tbl = t rows in
       let p = Expr.eq "m" "a" in
       Table.equal_as_sets (Table.distinct tbl)
-        (Ops.union (Ops.select p tbl) (Ops.select (Expr.Not p) tbl)))
+        (Ops.union (Planner.select p tbl) (Planner.select (Expr.Not p) tbl)))
 
 let test_profile () =
   let tbl =
