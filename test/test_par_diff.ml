@@ -565,9 +565,9 @@ let suite =
       test_steal_coverage_matches_seq;
     Alcotest.test_case "steal replays seeded bug identically" `Slow
       test_steal_seeded_bug_matches_seq;
-    Alcotest.test_case "figure 4 witness packs" `Quick
-      test_figure4_witness_packs;
     Alcotest.test_case "resident pool spawns no new domains" `Quick
       test_pool_spawns_no_new_domains;
     Test_seed.to_alcotest prop_factorized_vs_oracle;
+    Alcotest.test_case "figure 4 witness packs" `Quick
+      test_figure4_witness_packs;
   ]
