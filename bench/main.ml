@@ -95,7 +95,8 @@ let benchmarks =
    mcheck-2node-loadstore's search through the boxed reference, on one
    domain like the packed original: the mcheck-steal-vs-boxed pair
    prices the representation (bit-packed vectors + open addressing vs
-   Marshal strings + Hashtbl) and the indexed rule dispatch.  Pairs
+   Marshal strings + Hashtbl) and the compiled rule dispatch (vs the
+   reference's first match over string rules).  Pairs
    surface in the JSON snapshot "pairs". *)
 let engine_baseline_benchmarks =
   [

@@ -17,28 +17,30 @@ let cells_of cols schema row =
       | Value.Null -> None)
     cols
 
+let rendered_column t c =
+  let j = Schema.index (Table.schema t) c in
+  let d = Table.dict t j in
+  ( Table.codes t j,
+    Array.init (Dict.size d) (fun code ->
+        match Dict.value d code with
+        | Value.Str s -> Some s
+        | Value.Int i -> Some (string_of_int i)
+        | Value.Bool b -> Some (string_of_bool b)
+        | Value.Float f -> Some (Value.to_string (Value.Float f))
+        | Value.Null -> None) )
+
 (* Rule extraction runs off the dictionary codes: each referenced
    column's dictionary entries are rendered to strings once, and every
    row's guard/action cells are then array lookups — no row is decoded.
-   This is the path the model checker and the table-driven simulator
-   load their controllers through, so it runs once per (big) table. *)
+   This is the path the table-driven simulator's ED gating and the
+   model checker's reference matcher load their rules through, so it
+   runs once per (big) table. *)
 let rules_of_table ~inputs ~outputs t =
-  let schema = Table.schema t in
   let rendered cols =
     List.map
       (fun c ->
-        let j = Schema.index schema c in
-        let d = Table.dict t j in
-        let strs =
-          Array.init (Dict.size d) (fun code ->
-              match Dict.value d code with
-              | Value.Str s -> Some s
-              | Value.Int i -> Some (string_of_int i)
-              | Value.Bool b -> Some (string_of_bool b)
-              | Value.Float f -> Some (Value.to_string (Value.Float f))
-              | Value.Null -> None)
-        in
-        (c, Table.codes t j, strs))
+        let codes, strs = rendered_column t c in
+        (c, codes, strs))
       cols
   in
   let rin = rendered inputs and rout = rendered outputs in

@@ -23,6 +23,12 @@ type rule = {
 val rules_of_table :
   inputs:string list -> outputs:string list -> Relalg.Table.t -> rule list
 
+val rendered_column : Relalg.Table.t -> string -> int array * string option array
+(** A column's dictionary-code buffer, and each code rendered as the
+    cell string rules carry ([None] for NULL): the same rendering as
+    {!rules_of_table}, for callers compiling a table by row index.
+    @raise Relalg.Schema.Unknown_column *)
+
 val eval_rule : rule list -> (string * string) list -> rule option
 (** First-match-wins evaluation over a concrete input binding (absent
     columns behave as NULL); the whole matched rule, so callers can see

@@ -208,8 +208,10 @@ exception Found of violation
 (* --------------------------- boxed reference --------------------------- *)
 
 (* FIFO BFS over Marshal-string keys with a parent pointer per state: the
-   differential oracle, and the replay that turns a violation found by
-   the packed engine into an exact counterexample trace. *)
+   differential oracle (on {!Semantics.reference_tables}, the naive rule
+   matcher), and the replay that turns a violation found by the packed
+   engine into an exact counterexample trace (on the compiled tables the
+   search ran on). *)
 let run_seq ~engine ~max_states ~keep_states ~state_key ~tables config =
   let sr = new_search () in
   let initial = Mstate.initial ~nodes:config.Semantics.nodes ~addrs:config.addrs in
@@ -325,38 +327,6 @@ let layout_of_tables tables (config : Semantics.config) =
          [ "read"; "fetch"; "readex"; "swap"; "upgrade"; "wb" ])
     ()
 
-(* One-slot caches for the two per-search build steps the packed
-   engine pays before touching a single state: bucketing the rule index
-   (~11ms over the 1156-row delivery tables) and harvesting the packed
-   layout's dictionaries.  Callers that loop over [run] with the same
-   tables value — the benchmarks, the differential suites, repeated CLI
-   sweeps — hit the cache on physical identity and skip the rebuild.
-   Reuse is sound: bucketing is a pure reindexing of the same rows, and
-   a layout's dictionaries only ever grow (codes never change), so
-   packing stays exact across searches.  A racing miss merely rebuilds;
-   the slots are plain refs on purpose. *)
-let index_cache : (Semantics.tables * Semantics.tables) option ref = ref None
-
-let indexed_tables tables =
-  match !index_cache with
-  | Some (raw, indexed) when raw == tables -> indexed
-  | _ ->
-      let indexed = Semantics.index_tables tables in
-      index_cache := Some (tables, indexed);
-      indexed
-
-let layout_cache :
-    (Semantics.tables * Semantics.config * Pack.layout) option ref =
-  ref None
-
-let cached_layout tables config =
-  match !layout_cache with
-  | Some (raw, cfg, layout) when raw == tables && cfg = config -> layout
-  | _ ->
-      let layout = layout_of_tables tables config in
-      layout_cache := Some (tables, config, layout);
-      layout
-
 (* Per-participant bookkeeping of the stealing engine.  Everything
    order-free (counts, per-depth sums) merges after the join; depths and
    the frontier gauge are exact only on one participant. *)
@@ -383,7 +353,7 @@ let load tables =
    at exactly [max_states] expansions.  On one participant the loop is a
    FIFO queue, so the search is an exact BFS and every field matches the
    boxed reference.  On a violation the search stops and — in exact mode
-   — the boxed reference replays the whole search, so verdicts and
+   — the boxed BFS replays the whole search, so verdicts and
    counterexample traces are bit-identical to [run_seq]; the steal path
    itself only ever proves the *absence* of violations.  With
    [compact_bits] the replay is skipped (the point of compaction is that
@@ -410,10 +380,7 @@ let run ?(max_states = 200_000) ?(symmetry = false) ?tables
   in
   let depths = workers = 1 in
   let sr = new_search () in
-  let layout = cached_layout tables config in
-  (* dispatch rules through the bucketed index — same first-match row, a
-     fraction of the guard scans *)
-  let tables = indexed_tables tables in
+  let layout = layout_of_tables tables config in
   let key_of =
     if symmetry then Pack.canonical layout else Pack.pack ?perm:None layout
   in
@@ -544,8 +511,9 @@ let run ?(max_states = 200_000) ?(symmetry = false) ?tables
   in
   match violation with
   | Some _ when compact_bits = None ->
-      (* exact mode: replay through the boxed reference for the
-         bit-identical verdict and counterexample trace *)
+      (* exact mode: replay through the boxed BFS, on the same compiled
+         tables, for the bit-identical verdict and counterexample
+         trace *)
       let r =
         run_seq ~engine:"steal" ~max_states ~keep_states ~state_key ~tables
           config
@@ -592,7 +560,9 @@ let run ?(max_states = 200_000) ?(symmetry = false) ?tables
 let run_reference ?(max_states = 200_000) ?(symmetry = false) ?tables
     ?(keep_states = false) config =
   run_seq ~engine:"seq" ~max_states ~keep_states
-    ~state_key:(state_key ~symmetry config) ~tables:(load tables) config
+    ~state_key:(state_key ~symmetry config)
+    ~tables:(Semantics.reference_tables (load tables))
+    config
 
 let pp_result fmt r =
   Format.fprintf fmt

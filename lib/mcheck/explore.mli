@@ -8,9 +8,10 @@
     One engine searches: {!run}, a work-stealing frontier
     ({!Par.Pool.steal_loop}) over bit-packed states ({!Pack}) with
     Stern–Dill-style dedup.  On one domain it is an exact FIFO BFS.
-    {!run_reference} is the boxed BFS it replaced; it stays for two uses
-    only: replaying a violation into an exact counterexample trace, and
-    the differential oracle of the test suite. *)
+    The boxed BFS it replaced stays for two uses only: replaying a
+    violation into an exact counterexample trace (on the same compiled
+    tables), and, as {!run_reference}, the differential oracle of the
+    test suite (on the naive rule matcher). *)
 
 type violation = {
   kind : [ `Coherence | `Stale_data | `Unhandled | `Deadlock ];
@@ -88,8 +89,9 @@ val run :
     [explored], [transitions], [dedup_hits], verdicts and coverage
     bitmaps of a complete search are still identical; [max_depth] is
     [None], [per_depth] is empty and [max_frontier] is approximate.
-    When the search hits a violation it stops and replays through
-    {!run_reference} for a bit-identical verdict and trace.
+    When the search hits a violation it stops and replays the search
+    through the boxed BFS of {!run_reference}, on the same compiled
+    tables, for a bit-identical verdict and trace.
 
     [compact_bits] switches the visited set to N-bit hash compaction:
     memory bounded by the fingerprint table, but the result is flagged
@@ -105,9 +107,11 @@ val run_reference :
   result
 (** The boxed reference search: FIFO BFS, Marshal-string visited set
     ({!Mstate.key} / {!Mstate.canonical_key}), exact parent-pointer
-    counterexample traces, always one domain.  Same arguments and
-    defaults as {!run}.  It is the test oracle and the benchmark
-    baseline, not a production path. *)
+    counterexample traces, always one domain, and rules matched by the
+    naive first match of {!Semantics.reference_tables} instead of the
+    compiled dispatch.  Same arguments and defaults as {!run}.  It is
+    the test oracle and the benchmark baseline, not a production
+    path. *)
 
 val pp_result : Format.formatter -> result -> unit
 

@@ -113,28 +113,54 @@ let canonical_key ~nodes t =
     None (permutations ids)
   |> Option.get
 
-let update_nth l i f = List.mapi (fun j x -> if i = j then f x else x) l
+(* [l] with element [i] replaced by [x]: the prefix is copied, the tail
+   after [i] shared. *)
+let rec replace_nth l i x =
+  match l with
+  | [] -> []
+  | y :: rest -> if i = 0 then x :: rest else y :: replace_nth rest (i - 1) x
+
+(* [rows] with cell ([i], [j]) replaced by [x], sharing the same way *)
+let rec replace_cell rows i j x =
+  match rows with
+  | [] -> []
+  | row :: rest ->
+      if i = 0 then replace_nth row j x :: rest
+      else row :: replace_cell rest (i - 1) j x
+
+(* The order [queues] is kept sorted in — (src, dst, class),
+   lexicographically, as polymorphic [compare] orders the key — without
+   its generic traversal. *)
+let compare_key ((s1, d1, c1) : int * int * string) (s2, d2, c2) =
+  if s1 <> s2 then Int.compare s1 s2
+  else if d1 <> d2 then Int.compare d1 d2
+  else String.compare c1 c2
 
 let enqueue t ~cls msg =
   let k = msg.src, msg.dst, cls in
   let rec go = function
     | [] -> [ k, [ msg ] ]
     | ((k', q) as entry) :: rest ->
-        if k' = k then (k, q @ [ msg ]) :: rest
-        else if compare k' k > 0 then (k, [ msg ]) :: entry :: rest
+        let c = compare_key k' k in
+        if c = 0 then (k, q @ [ msg ]) :: rest
+        else if c > 0 then (k, [ msg ]) :: entry :: rest
         else entry :: go rest
   in
   { t with queues = go t.queues }
 
 let dequeue t k =
-  match List.assoc_opt k t.queues with
-  | None | Some [] -> None
-  | Some (msg :: rest) ->
-      let queues =
-        if rest = [] then List.remove_assoc k t.queues
-        else List.map (fun (k', q) -> if k' = k then k', rest else k', q) t.queues
-      in
-      Some (msg, { t with queues })
+  let rec go = function
+    | [] -> None
+    | ((k', q) as entry) :: rest -> (
+        if compare_key k' k <> 0 then
+          Option.map (fun (msg, rest) -> (msg, entry :: rest)) (go rest)
+        else
+          match q with
+          | [] -> None
+          | [ msg ] -> Some (msg, rest)
+          | msg :: q' -> Some (msg, (k', q') :: rest))
+  in
+  Option.map (fun (msg, queues) -> (msg, { t with queues })) (go t.queues)
 
 let queue_heads t =
   List.filter_map
@@ -142,22 +168,16 @@ let queue_heads t =
     t.queues
 
 let addr_state t a = List.nth t.addrs a
-let set_addr t a st = { t with addrs = update_nth t.addrs a (fun _ -> st) }
+let set_addr t a st = { t with addrs = replace_nth t.addrs a st }
 let cache t ~node ~addr = List.nth (List.nth t.caches node) addr
 
 let set_cache t ~node ~addr st =
-  {
-    t with
-    caches = update_nth t.caches node (fun row -> update_nth row addr (fun _ -> st));
-  }
+  { t with caches = replace_cell t.caches node addr st }
 
 let pending t ~node ~addr = List.nth (List.nth t.pend node) addr
 
 let set_pending t ~node ~addr op =
-  {
-    t with
-    pend = update_nth t.pend node (fun row -> update_nth row addr (fun _ -> op));
-  }
+  { t with pend = replace_cell t.pend node addr op }
 
 let popcount mask =
   let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in

@@ -22,10 +22,17 @@
    symmetry reduction (lexicographically minimal packed vector over all
    permutations) never materializes the permuted boxed state. *)
 
+module Sh = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type field = {
   dict : Relalg.Dict.t;
   mutable width : int;
-  memo : (string, int) Hashtbl.t;
+  memo : int Sh.t;
       (* plain string → code shortcut so the hot path hashes the bare
          string once instead of boxing a [Value.Str]; grows only when
          the dictionary does (spawning domain, per the Dict contract) *)
@@ -40,11 +47,11 @@ let bits_needed n =
 
 let field_of_seed seed =
   let dict = Relalg.Dict.create () in
-  let memo = Hashtbl.create 64 in
+  let memo = Sh.create 64 in
   List.iter
     (fun s ->
       let c = Relalg.Dict.intern dict (Relalg.Value.Str s) in
-      if not (Hashtbl.mem memo s) then Hashtbl.add memo s c)
+      if not (Sh.mem memo s) then Sh.add memo s c)
     seed;
   (* one headroom bit: the dictionary may double before codes stop
      fitting, so a handful of late-interned strings never force a
@@ -52,8 +59,10 @@ let field_of_seed seed =
   { dict; width = bits_needed (max 2 (Relalg.Dict.size dict)) + 1; memo }
 
 (* The message classes are a closed set fixed by the channel structure,
-   not a dictionary: three bits, stable across every model. *)
-let classes = [| "reqq"; "respq"; "snp"; "resp"; "ackq"; "memq" |]
+   not a dictionary: three bits, stable across every model.  Codes
+   follow the names' own order, so {!Mstate}'s sorted channel list is
+   already in canonical pack order under the identity permutation. *)
+let classes = [| "ackq"; "memq"; "reqq"; "resp"; "respq"; "snp" |]
 let w_cls = 3
 
 let cls_code name =
@@ -140,11 +149,11 @@ let refresh l =
    width; callers then [refresh] into a wider layout. *)
 let code what f s =
   let c =
-    match Hashtbl.find_opt f.memo s with
-    | Some c -> c
-    | None ->
+    match Sh.find f.memo s with
+    | c -> c
+    | exception Not_found ->
         let c = Relalg.Dict.intern f.dict (Relalg.Value.Str s) in
-        Hashtbl.add f.memo s c;
+        Sh.add f.memo s c;
         c
   in
   if c >= 1 lsl f.width then
@@ -159,7 +168,10 @@ let word_bits = 62
 let word_mask = (1 lsl word_bits) - 1
 
 type writer = {
-  mutable buf : int array;
+  buf : int array;
+      (* presized to the state's exact encoded length ({!bit_length}), so
+         it never regrows; a word is assigned when its first bit is
+         written and or-ed into after, so the buffer needs no zeroing *)
   mutable bit : int;
   (* Canonical-scan cutoff.  While [cut_i >= 0], every word the writer
      completes is compared against the incumbent minimum [cut]: the
@@ -174,34 +186,30 @@ type writer = {
 
 exception Cut
 
-let writer () = { buf = Array.make 4 0; bit = 0; cut = [||]; cut_i = -1 }
+let words_of_bits bits = max 1 ((bits + word_bits - 1) / word_bits)
+
+let writer bits =
+  { buf = Array.make (words_of_bits bits) 0; bit = 0; cut = [||]; cut_i = -1 }
 
 let put wr ~width v =
   if v < 0 || v >= 1 lsl width then
     raise (Overflow (Printf.sprintf "value %d exceeds %d-bit field" v width));
   let iw = wr.bit / word_bits and ib = wr.bit mod word_bits in
-  if iw + 1 >= Array.length wr.buf then begin
-    let buf = Array.make (2 * Array.length wr.buf) 0 in
-    Array.blit wr.buf 0 buf 0 (Array.length wr.buf);
-    wr.buf <- buf
-  end;
-  wr.buf.(iw) <- wr.buf.(iw) lor (v lsl ib land word_mask);
-  if ib + width > word_bits then wr.buf.(iw + 1) <- v lsr (word_bits - ib);
+  let buf = wr.buf in
+  if ib = 0 then buf.(iw) <- v
+  else buf.(iw) <- buf.(iw) lor (v lsl ib land word_mask);
+  if ib + width > word_bits then buf.(iw + 1) <- v lsr (word_bits - ib);
   wr.bit <- wr.bit + width;
   if wr.cut_i >= 0 then begin
     let cw = wr.bit / word_bits in
     while wr.cut_i >= 0 && wr.cut_i < cw && wr.cut_i < Array.length wr.cut do
       let i = wr.cut_i in
-      let a = Array.unsafe_get wr.buf i and b = Array.unsafe_get wr.cut i in
+      let a = Array.unsafe_get buf i and b = Array.unsafe_get wr.cut i in
       if a > b then raise Cut
       else if a < b then wr.cut_i <- -1
       else wr.cut_i <- i + 1
     done
   end
-
-let contents wr =
-  let words = (wr.bit + word_bits - 1) / word_bits in
-  Array.sub wr.buf 0 (max 1 words)
 
 type reader = { r_buf : int array; mutable r_bit : int }
 
@@ -233,82 +241,146 @@ let remap_mask m nodes mask =
 
 let remap_ep m e = if e >= 0 then m.(e) else e
 
-let pack_into wr ?perm l (st : Mstate.t) =
-  let m, minv = match perm with Some p -> p | None -> l.id_perm in
-  let put_busy = function
-    | None ->
-        put wr ~width:1 0;
-        put wr ~width:l.f_bst.width 0;
-        put wr ~width:l.w_ep 0;
-        put wr ~width:l.w_mask 0;
-        put wr ~width:l.w_mask 0;
-        put wr ~width:1 0
-    | Some (b : Mstate.busy) ->
-        put wr ~width:1 1;
-        put wr ~width:l.f_bst.width (code "bst" l.f_bst b.bst);
-        put wr ~width:l.w_ep (remap_ep m b.requester + 2);
-        put wr ~width:l.w_mask (remap_mask m l.nodes b.acks);
-        put wr ~width:l.w_mask (remap_mask m l.nodes b.snapshot);
-        put wr ~width:1 (b2i b.data_fresh)
-  in
-  List.iter
-    (fun (a : Mstate.addr_state) ->
+let compare_chan (((s1, d1, c1) : int * int * int), _) ((s2, d2, c2), _) =
+  if s1 <> s2 then Int.compare s1 s2
+  else if d1 <> d2 then Int.compare d1 d2
+  else Int.compare c1 c2
+
+(* The encoder is written as top-level loops over explicit arguments,
+   not closures over the state, so packing allocates nothing but the
+   result vector. *)
+let put_busy wr l m = function
+  | None ->
+      put wr ~width:1 0;
+      put wr ~width:l.f_bst.width 0;
+      put wr ~width:l.w_ep 0;
+      put wr ~width:l.w_mask 0;
+      put wr ~width:l.w_mask 0;
+      put wr ~width:1 0
+  | Some (b : Mstate.busy) ->
+      put wr ~width:1 1;
+      put wr ~width:l.f_bst.width (code "bst" l.f_bst b.bst);
+      put wr ~width:l.w_ep (remap_ep m b.requester + 2);
+      put wr ~width:l.w_mask (remap_mask m l.nodes b.acks);
+      put wr ~width:l.w_mask (remap_mask m l.nodes b.snapshot);
+      put wr ~width:1 (b2i b.data_fresh)
+
+let rec put_addrs wr l m = function
+  | [] -> ()
+  | (a : Mstate.addr_state) :: rest ->
       put wr ~width:l.f_dirst.width (code "dirst" l.f_dirst a.dirst);
       put wr ~width:l.w_mask (remap_mask m l.nodes a.sharers);
       put wr ~width:1 (b2i a.mem_fresh);
-      put_busy a.busy)
-    st.addrs;
+      put_busy wr l m a.busy;
+      put_addrs wr l m rest
+
+let rec put_caches wr l = function
+  | [] -> ()
+  | c :: rest ->
+      put wr ~width:l.f_cache.width (code "cache" l.f_cache c);
+      put_caches wr l rest
+
+let rec put_pends wr l = function
+  | [] -> ()
+  | None :: rest ->
+      put wr ~width:1 0;
+      put wr ~width:l.f_pend.width 0;
+      put_pends wr l rest
+  | Some op :: rest ->
+      put wr ~width:1 1;
+      put wr ~width:l.f_pend.width (code "pend" l.f_pend op);
+      put_pends wr l rest
+
+let rec put_msgs wr l m = function
+  | [] -> ()
+  | (msg : Mstate.msg) :: rest ->
+      put wr ~width:l.f_msg.width (code "msg" l.f_msg msg.m);
+      put wr ~width:l.w_ep (remap_ep m msg.src + 2);
+      put wr ~width:l.w_ep (remap_ep m msg.dst + 2);
+      put wr ~width:l.w_addr msg.addr;
+      put wr ~width:1 (b2i msg.fresh);
+      put_msgs wr l m rest
+
+let put_chan wr l m ~src2 ~dst2 ~cc q =
+  put wr ~width:l.w_ep src2;
+  put wr ~width:l.w_ep dst2;
+  put wr ~width:w_cls cc;
+  put wr ~width:l.w_qlen (List.length q);
+  put_msgs wr l m q
+
+(* the identity permutation: [queues] is already in canonical order *)
+let rec put_chans_id wr l m = function
+  | [] -> ()
+  | ((src, dst, cls), q) :: rest ->
+      put_chan wr l m ~src2:(src + 2) ~dst2:(dst + 2) ~cc:(cls_code cls) q;
+      put_chans_id wr l m rest
+
+(* the first [n] rows, in list order *)
+let rec put_rows_id put_row wr l n = function
+  | row :: rest when n > 0 ->
+      put_row wr l row;
+      put_rows_id put_row wr l (n - 1) rest
+  | _ -> ()
+
+let pack_into wr ?perm l (st : Mstate.t) =
+  let m, minv = match perm with Some p -> p | None -> l.id_perm in
+  put_addrs wr l m st.addrs;
   (* per-node rows, emitted in permuted order: output row i is the
      original row m⁻¹(i), matching Mstate.permute's reorder *)
-  let caches = Array.of_list st.caches in
-  let pend = Array.of_list st.pend in
-  for i = 0 to l.nodes - 1 do
-    List.iter
-      (fun c -> put wr ~width:l.f_cache.width (code "cache" l.f_cache c))
-      caches.(minv.(i))
-  done;
-  for i = 0 to l.nodes - 1 do
-    List.iter
-      (fun p ->
-        match p with
-        | None ->
-            put wr ~width:1 0;
-            put wr ~width:l.f_pend.width 0
-        | Some op ->
-            put wr ~width:1 1;
-            put wr ~width:l.f_pend.width (code "pend" l.f_pend op))
-      pend.(minv.(i))
-  done;
+  let identity = m == fst l.id_perm in
+  if identity then begin
+    put_rows_id put_caches wr l l.nodes st.caches;
+    put_rows_id put_pends wr l l.nodes st.pend
+  end
+  else begin
+    let caches = Array.of_list st.caches and pend = Array.of_list st.pend in
+    for i = 0 to l.nodes - 1 do
+      put_caches wr l caches.(minv.(i))
+    done;
+    for i = 0 to l.nodes - 1 do
+      put_pends wr l pend.(minv.(i))
+    done
+  end;
   (* channels, sorted by the canonical (src+2, dst+2, class-code) order
      after endpoint remapping; message FIFO order is preserved *)
-  let chans =
-    List.sort compare
-      (List.map
-         (fun ((src, dst, cls), q) ->
-           (remap_ep m src + 2, remap_ep m dst + 2, cls_code cls), q)
-         st.queues)
-  in
-  put wr ~width:l.w_qcount (List.length chans);
-  List.iter
-    (fun ((src2, dst2, cc), q) ->
-      put wr ~width:l.w_ep src2;
-      put wr ~width:l.w_ep dst2;
-      put wr ~width:w_cls cc;
-      put wr ~width:l.w_qlen (List.length q);
-      List.iter
-        (fun (msg : Mstate.msg) ->
-          put wr ~width:l.f_msg.width (code "msg" l.f_msg msg.m);
-          put wr ~width:l.w_ep (remap_ep m msg.src + 2);
-          put wr ~width:l.w_ep (remap_ep m msg.dst + 2);
-          put wr ~width:l.w_addr msg.addr;
-          put wr ~width:1 (b2i msg.fresh))
-        q)
-    chans
+  put wr ~width:l.w_qcount (List.length st.queues);
+  if identity then put_chans_id wr l m st.queues
+  else
+    List.iter
+      (fun ((src2, dst2, cc), q) -> put_chan wr l m ~src2 ~dst2 ~cc q)
+      (List.sort compare_chan
+         (List.map
+            (fun ((src, dst, cls), q) ->
+              ((remap_ep m src + 2, remap_ep m dst + 2, cls_code cls), q))
+            st.queues))
+
+(* The exact number of bits [pack_into] writes for [st], under any
+   permutation: what the writer is presized to. *)
+let rec row_cells n acc = function
+  | row :: rest when n > 0 -> row_cells (n - 1) (acc + List.length row) rest
+  | _ -> acc
+
+let rec queue_bits ~chan ~msg acc = function
+  | [] -> acc
+  | (_, q) :: rest ->
+      queue_bits ~chan ~msg (acc + chan + (List.length q * msg)) rest
+
+let bit_length l (st : Mstate.t) =
+  let busy = 1 + l.f_bst.width + l.w_ep + (2 * l.w_mask) + 1 in
+  let per_addr = l.f_dirst.width + l.w_mask + 1 + busy in
+  (List.length st.addrs * per_addr)
+  + (row_cells l.nodes 0 st.caches * l.f_cache.width)
+  + (row_cells l.nodes 0 st.pend * (1 + l.f_pend.width))
+  + l.w_qcount
+  + queue_bits
+      ~chan:((2 * l.w_ep) + w_cls + l.w_qlen)
+      ~msg:(l.f_msg.width + (2 * l.w_ep) + l.w_addr + 1)
+      0 st.queues
 
 let pack ?perm l st =
-  let wr = writer () in
+  let wr = writer (bit_length l st) in
   pack_into wr ?perm l st;
-  contents wr
+  wr.buf
 
 (* ------------------------------ decode ------------------------------- *)
 
@@ -420,12 +492,11 @@ let compare_packed a b =
    given, must be the identity packing of [st]; the identity
    permutation is then skipped instead of re-encoded. *)
 let canonical_loop ?seed l st =
-  let wr = writer () in
+  let wr = writer (bit_length l st) in
   let best = ref (match seed with Some v -> v | None -> [||]) in
   List.iter
     (fun ((m, _) as perm) ->
       if not (seed <> None && m = fst l.id_perm) then begin
-        Array.fill wr.buf 0 (Array.length wr.buf) 0;
         wr.bit <- 0;
         (* arm the writer's cutoff against the incumbent minimum: most
            candidate permutations lose on the first completed word (the
@@ -455,7 +526,7 @@ let canonical_loop ?seed l st =
               in
               go tail_start
             in
-            if better then best := Array.sub wr.buf 0 words
+            if better then best := Array.copy wr.buf
       end)
     l.perms;
   !best

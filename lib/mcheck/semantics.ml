@@ -1,35 +1,67 @@
 open Mstate
 
-(* A compiled rule list plus the runtime Table.id of the table it came
-   from, so every fired rule can be charged to its source row in the
-   transition-coverage bitmaps.
+(* ------------------------------------------------------------------ *)
+(* Compiled rule dispatch                                              *)
+(* ------------------------------------------------------------------ *)
 
-   [index] is an optional dispatch accelerator built by {!index_tables}:
-   rules bucketed by the value their guard binds one discriminating
-   column to (the input message name, in practice).  A bucket holds, in
-   the original priority order, exactly the rules that can match a
-   binding carrying that value — rules that leave the column
-   unconstrained appear in every bucket — so first-match evaluation over
-   a bucket returns the same row as a scan of the full list.  The boxed
-   reference search never builds the index; the packed engine does,
-   which turns the per-delivery O(|table|) guard scan into a scan of a
-   few candidate rows. *)
-type rule_index =
-  | Flat of Mapping.Codegen.rule list
-  | Split of {
-      disc : string;
-      buckets : (string, rule_index) Hashtbl.t;
-      unbound : rule_index;
-          (* rules whose guard leaves [disc] free: the candidates for a
-             discriminator value no guard ever names *)
-      all : Mapping.Codegen.rule list;
-          (* fallback when a binding doesn't carry [disc] at all *)
-    }
+(* Every executable table is compiled once, at load time, against the
+   one delivery site that fires it.  A site binds a fixed list of input
+   columns and builds its binding as a [string array] in that order, so
+   a guard cell becomes a (binding position, wanted value) pair and
+   matching a rule is a few array reads and string compares instead of
+   [List.assoc_opt] over a 12-entry association list.  A rule whose
+   guard names a column the site never binds can never match (first
+   match over a binding without that column fails it too), so it is
+   left out of the dispatch altogether.  A rule's action becomes a [string option
+   array] over the site's output positions: the columns the site reads
+   come first, at positions fixed below, followed by the table's other
+   output columns, so [deliver_*] reads its fields by position.
+
+   Dispatch buckets the compiled rules by the value their guard binds at
+   one discriminating position (the input message name, in practice),
+   splitting big buckets again on the next-best position.  A bucket
+   holds, in the original priority order, exactly the rules that can
+   match a binding carrying that value — rules that leave the position
+   unconstrained appear in every bucket and in [rest] — so first match
+   over a bucket is the row first match over the whole priority-ordered
+   table gives, and coverage and flight-recorder attribution (table id,
+   row) are unchanged. *)
+
+module Sh = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+type rule = {
+  row : int;  (* the generating row in the source table *)
+  gpos : int array;  (* binding positions the guard constrains … *)
+  gval : string array;  (* … and the value each must equal *)
+  action : string option array;  (* by site output position *)
+}
+
+type dispatch =
+  | Scan of rule array
+  | Split of { pos : int; buckets : dispatch Sh.t; rest : dispatch }
+      (* [rest]: the rules leaving [pos] free, the candidates for a
+         value no guard names *)
+
+type site = { cols : string array; outs : string array }
 
 type ruleset = {
-  rules : Mapping.Codegen.rule list;
-  cov : int;
-  index : rule_index option;
+  table : Relalg.Table.t;
+  inputs : string list;  (* the table's guard columns … *)
+  outputs : string list;  (* … and action columns *)
+  source : Mapping.Codegen.rule list Lazy.t;
+      (* the string rules, priority order: built only for the naive
+         matcher, the tests and ED gating; forced on the spawning
+         domain *)
+  cols : string array;  (* binding columns, in binding-array order *)
+  outs : string array;  (* output columns, in action-array order *)
+  cov : int;  (* runtime Table.id, for coverage and the flight recorder *)
+  dispatch : dispatch;
+  naive : bool;  (* match by {!Mapping.Codegen.eval_rule}: the oracle *)
 }
 
 type tables = {
@@ -41,16 +73,257 @@ type tables = {
   io_rules : ruleset;
 }
 
-let ruleset_of_table ~inputs ~outputs t =
-  let rules = Mapping.Codegen.rules_of_table ~inputs ~outputs t in
+let position cols c =
+  let rec go i =
+    if i >= Array.length cols then -1
+    else if String.equal cols.(i) c then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Compilation reads the table column-wise from its dictionary codes,
+   never building the string rules, and works on value codes:
+   [values.(p)] lists the distinct guard values at binding position
+   [p], and a rule's [want.(p)] indexes it ([-1]: free), so choosing and
+   filling buckets is integer work, O(rules x positions) per split. *)
+type compiling = { rule : rule; want : int array }
+
+(* A binding position's table column: its dictionary codes, and each
+   code's index into the position's distinct values ([-1] for NULL, a
+   dont-care).  Equal renderings share one index. *)
+let position_column (codes, strs) =
+  let seen = Sh.create 16 in
+  let index =
+    Array.map
+      (function
+        | None -> -1
+        | Some s -> (
+            match Sh.find_opt seen s with
+            | Some i -> i
+            | None ->
+                let i = Sh.length seen in
+                Sh.add seen s i;
+                i))
+      strs
+  in
+  let values = Array.make (Sh.length seen) "" in
+  Sh.iter (fun s i -> values.(i) <- s) seen;
+  (codes, index, values)
+
+(* The discriminator is the position whose buckets are smallest on
+   average: a position constraining [hits] rules over [values] distinct
+   values, and leaving [n - hits] rules free (they join every bucket),
+   averages [hits / values + n - hits] candidates — the input message
+   name for the delivery tables, the processor op for PIF.  Counting
+   the free rules also bounds the build: the buckets of one split hold
+   [hits + (n - hits) * values] entries in all.  Ties go to the earlier
+   position; only positions with two or more values split. *)
+let best_pos ~values rules =
+  let n = List.length rules in
+  let best = ref None in
+  Array.iteri
+    (fun p vals ->
+      let seen = Array.make (Array.length vals) false in
+      let hits = ref 0 and distinct = ref 0 in
+      List.iter
+        (fun { want; _ } ->
+          let c = want.(p) in
+          if c >= 0 then begin
+            incr hits;
+            if not seen.(c) then begin
+              seen.(c) <- true;
+              incr distinct
+            end
+          end)
+        rules;
+      if !distinct >= 2 then begin
+        let avg =
+          (float_of_int !hits /. float_of_int !distinct)
+          +. float_of_int (n - !hits)
+        in
+        match !best with
+        | Some (_, b) when b <= avg -> ()
+        | _ -> best := Some (p, avg)
+      end)
+    values;
+  Option.map fst !best
+
+(* Buckets bigger than this are split again on the next-best position
+   (D splits on the input message, then again within a message); depth
+   is bounded so degenerate tables can't recurse forever. *)
+let split_threshold = 8
+
+(* One pass over the priority-ordered rules fills every bucket in
+   order: a rule binding the discriminator joins its value's bucket, a
+   rule leaving it free joins every bucket and [rest]. *)
+let rec build ~values fuel rules =
+  let scan () = Scan (Array.of_list (List.map (fun c -> c.rule) rules)) in
+  if fuel = 0 || List.length rules <= split_threshold then scan ()
+  else
+    match best_pos ~values rules with
+    | None -> scan ()
+    | Some pos ->
+        let nv = Array.length values.(pos) in
+        let present = Array.make nv false in
+        List.iter
+          (fun { want; _ } -> if want.(pos) >= 0 then present.(want.(pos)) <- true)
+          rules;
+        let acc = Array.make nv [] and rest = ref [] in
+        List.iter
+          (fun ({ want; _ } as c) ->
+            let v = want.(pos) in
+            if v >= 0 then acc.(v) <- c :: acc.(v)
+            else begin
+              rest := c :: !rest;
+              for i = 0 to nv - 1 do
+                if present.(i) then acc.(i) <- c :: acc.(i)
+              done
+            end)
+          rules;
+        let buckets = Sh.create nv in
+        Array.iteri
+          (fun i v ->
+            if present.(i) then
+              Sh.add buckets v (build ~values (fuel - 1) (List.rev acc.(i))))
+          values.(pos);
+        Split { pos; buckets; rest = build ~values (fuel - 1) (List.rev !rest) }
+
+let compile_ruleset (site : site) ~inputs ~outputs t =
+  let n = Relalg.Table.cardinality t in
+  let rendered =
+    List.map (fun c -> (c, Mapping.Codegen.rendered_column t c)) (inputs @ outputs)
+  in
+  let column c = List.assoc c rendered in
+  (* priority: most guard cells first, table order among equals — the
+     order {!Mapping.Codegen.rules_of_table} sorts its rules into *)
+  let cells = Array.make n 0 in
+  List.iter
+    (fun c ->
+      let codes, strs = column c in
+      for i = 0 to n - 1 do
+        if Option.is_some strs.(codes.(i)) then cells.(i) <- cells.(i) + 1
+      done)
+    inputs;
+  let order =
+    List.stable_sort
+      (fun a b -> Int.compare cells.(b) cells.(a))
+      (List.init n Fun.id)
+  in
+  (* the site's own reads first, at their fixed positions *)
+  let outs =
+    Array.append site.outs
+      (Array.of_list
+         (List.filter (fun c -> position site.outs c < 0) outputs))
+  in
+  let pcols =
+    Array.map
+      (fun c ->
+        if List.mem c inputs then Some (position_column (column c)) else None)
+      site.cols
+  in
+  let values =
+    Array.map (function Some (_, _, v) -> v | None -> [||]) pcols
+  in
+  (* guard columns the site never binds: a rule constraining one can
+     never match *)
+  let unbound =
+    List.filter_map
+      (fun c -> if position site.cols c >= 0 then None else Some (column c))
+      inputs
+  in
+  let ocols =
+    Array.map (fun c -> if List.mem c outputs then Some (column c) else None) outs
+  in
+  let compile i =
+    let want =
+      Array.map
+        (function Some (codes, index, _) -> index.(codes.(i)) | None -> -1)
+        pcols
+    in
+    let k = Array.fold_left (fun k c -> if c >= 0 then k + 1 else k) 0 want in
+    let gpos = Array.make k 0 and gval = Array.make k "" in
+    let j = ref 0 in
+    Array.iteri
+      (fun p c ->
+        if c >= 0 then begin
+          gpos.(!j) <- p;
+          gval.(!j) <- values.(p).(c);
+          incr j
+        end)
+      want;
+    let action =
+      Array.map
+        (function Some (codes, strs) -> strs.(codes.(i)) | None -> None)
+        ocols
+    in
+    { rule = { row = i; gpos; gval; action }; want }
+  in
+  let matchable i =
+    not (List.exists (fun (codes, strs) -> Option.is_some strs.(codes.(i))) unbound)
+  in
+  {
+    table = t;
+    inputs;
+    outputs;
+    source = lazy (Mapping.Codegen.rules_of_table ~inputs ~outputs t);
+    cols = site.cols;
+    outs;
+    cov = Relalg.Table.id t;
+    dispatch =
+      build ~values 3 (List.map compile (List.filter matchable order));
+    naive = false;
+  }
+
+let ruleset_of_table site ~inputs ~outputs t =
   Obs.Coverage.register ~id:(Relalg.Table.id t)
     ~name:(Relalg.Table.name t)
     ~rows:(Relalg.Table.cardinality t);
-  { rules; cov = Relalg.Table.id t; index = None }
+  compile_ruleset site ~inputs ~outputs t
 
-let rules_of (c : Protocol.controller) =
+(* The delivery sites: the columns each binds, in binding-array order,
+   and the output columns it reads, at positions [0 ..] of every action
+   array.  The [deliver_*] functions below build and read exactly these
+   orders. *)
+let dir_site =
+  {
+    cols =
+      [| "inmsg"; "inmsgsrc"; "inmsgdest"; "inmsgres"; "addrspace"; "dirst";
+         "dirpv"; "reqpv"; "bdirst"; "bdirpv"; "dirlookup"; "bdirlookup" |];
+    outs =
+      [| "locmsg"; "remmsg"; "memmsg"; "bdirop"; "nxtbdirst"; "nxtbdirpv";
+         "nxtdirst"; "nxtdirpv" |];
+  }
+
+let snoop_site =
+  {
+    cols = [| "inmsg"; "inmsgsrc"; "inmsgdest"; "inmsgres"; "cachest" |];
+    outs = [| "respmsg"; "nxtcachest" |];
+  }
+
+let response_site =
+  {
+    cols = [| "inmsg"; "inmsgsrc"; "inmsgdest"; "inmsgres"; "pendop" |];
+    outs = [| "cachefill"; "ackmsg"; "procresult" |];
+  }
+
+let mem_site =
+  {
+    cols = [| "inmsg"; "inmsgsrc"; "inmsgdest"; "inmsgres"; "eccst" |];
+    outs = [| "outmsg" |];
+  }
+
+let io_site =
+  {
+    cols = [| "inmsg"; "inmsgsrc"; "inmsgdest"; "inmsgres"; "devst" |];
+    outs = [| "outmsg" |];
+  }
+
+let issue_site =
+  { cols = [| "procop"; "cachest" |]; outs = [| "reqmsg"; "pendop" |] }
+
+let rules_of site (c : Protocol.controller) =
   let spec = c.Protocol.spec in
-  ruleset_of_table
+  ruleset_of_table site
     ~inputs:(Protocol.Ctrl_spec.input_columns spec)
     ~outputs:(Protocol.Ctrl_spec.output_columns spec)
     (Protocol.Ctrl_spec.table spec)
@@ -58,136 +331,149 @@ let rules_of (c : Protocol.controller) =
 let load_tables_with ?dir () =
   let d_rules =
     match dir with
-    | None -> rules_of Protocol.directory
+    | None -> rules_of dir_site Protocol.directory
     | Some spec ->
-        ruleset_of_table
+        ruleset_of_table dir_site
           ~inputs:(Protocol.Ctrl_spec.input_columns spec)
           ~outputs:(Protocol.Ctrl_spec.output_columns spec)
           (fst (Protocol.Ctrl_spec.generate spec))
   in
   {
     d_rules;
-    c_rules = rules_of Protocol.cache;
-    n_rules = rules_of Protocol.node;
-    pif_rules = rules_of Protocol.pif;
-    m_rules = rules_of Protocol.memory;
-    io_rules = rules_of Protocol.io;
+    c_rules = rules_of snoop_site Protocol.cache;
+    n_rules = rules_of response_site Protocol.node;
+    pif_rules = rules_of issue_site Protocol.pif;
+    m_rules = rules_of mem_site Protocol.memory;
+    io_rules = rules_of io_site Protocol.io;
   }
 
 let load_tables () = load_tables_with ()
 
-(* The discriminator is the guard column with the most distinct values
-   (ties broken by how many guards constrain it): the input message name
-   for the delivery tables, the processor op for PIF.  More distinct
-   values means smaller buckets. *)
-let best_disc rules =
-  let vals : (string, string list) Hashtbl.t = Hashtbl.create 16 in
-  let hits : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Mapping.Codegen.rule) ->
-      List.iter
-        (fun (c, v) ->
-          Hashtbl.replace hits c
-            (1 + Option.value (Hashtbl.find_opt hits c) ~default:0);
-          let seen = Option.value (Hashtbl.find_opt vals c) ~default:[] in
-          if not (List.mem v seen) then Hashtbl.replace vals c (v :: seen))
-        r.guard)
-    rules;
-  Hashtbl.fold
-    (fun c vs best ->
-      let score = (List.length vs, Hashtbl.find hits c) in
-      match best with
-      | Some (_, bs) when bs >= score -> best
-      | _ -> Some (c, score))
-    vals None
-  |> Option.map fst
-
-(* Buckets bigger than this get split again on the next-best column
-   (e.g. D splits on inmsg, then within a message on dirst); depth is
-   bounded so degenerate tables can't recurse forever. *)
-let split_threshold = 8
-
-let rec build_index fuel rules =
-  if fuel = 0 || List.length rules <= split_threshold then Flat rules
-  else
-    match best_disc rules with
-    | None -> Flat rules
-    | Some disc ->
-        let values =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun (r : Mapping.Codegen.rule) -> List.assoc_opt disc r.guard)
-               rules)
-        in
-        let bucket_of v =
-          List.filter
-            (fun (r : Mapping.Codegen.rule) ->
-              match List.assoc_opt disc r.guard with
-              | Some g -> String.equal g v
-              | None -> true)
-            rules
-        in
-        let bs = List.map (fun v -> (v, bucket_of v)) values in
-        if
-          (* no progress: every bucket is the whole list (all guards
-             agree on one value, or none constrain the column) *)
-          List.for_all
-            (fun (_, b) -> List.length b = List.length rules)
-            bs
-        then Flat rules
-        else begin
-          let buckets = Hashtbl.create (2 * List.length values) in
-          List.iter
-            (fun (v, b) -> Hashtbl.replace buckets v (build_index (fuel - 1) b))
-            bs;
-          let unbound =
-            List.filter
-              (fun (r : Mapping.Codegen.rule) ->
-                List.assoc_opt disc r.guard = None)
-              rules
-          in
-          Split
-            { disc; buckets; unbound = build_index (fuel - 1) unbound;
-              all = rules }
-        end
-
-let index_ruleset rs =
-  match build_index 3 rs.rules with
-  | Flat _ -> rs
-  | index -> { rs with index = Some index }
-
-let index_tables t =
+let reference_tables t =
+  let naive rs =
+    ignore (Lazy.force rs.source : Mapping.Codegen.rule list);
+    { rs with naive = true }
+  in
   {
-    d_rules = index_ruleset t.d_rules;
-    c_rules = index_ruleset t.c_rules;
-    n_rules = index_ruleset t.n_rules;
-    pif_rules = index_ruleset t.pif_rules;
-    m_rules = index_ruleset t.m_rules;
-    io_rules = index_ruleset t.io_rules;
+    d_rules = naive t.d_rules;
+    c_rules = naive t.c_rules;
+    n_rules = naive t.n_rules;
+    pif_rules = naive t.pif_rules;
+    m_rules = naive t.m_rules;
+    io_rules = naive t.io_rules;
   }
 
-let directory_rules t = t.d_rules.rules
+let rulesets t =
+  [ "D", t.d_rules; "C", t.c_rules; "N", t.n_rules; "PIF", t.pif_rules;
+    "M", t.m_rules; "IO", t.io_rules ]
+
+let compile_table ~columns ~inputs ~outputs t =
+  compile_ruleset { cols = Array.copy columns; outs = [||] } ~inputs ~outputs t
+
+let columns rs = Array.copy rs.cols
+let rules rs = Lazy.force rs.source
+let directory_rules t = Lazy.force t.d_rules.source
+
+let rec candidates d (b : string array) =
+  match d with
+  | Scan rules -> rules
+  | Split { pos; buckets; rest } -> (
+      match Sh.find_opt buckets b.(pos) with
+      | Some sub -> candidates sub b
+      | None -> candidates rest b)
+
+let matches r (b : string array) =
+  let n = Array.length r.gpos in
+  let rec go i =
+    i >= n
+    || String.equal b.(Array.unsafe_get r.gpos i) (Array.unsafe_get r.gval i)
+       && go (i + 1)
+  in
+  go 0
+
+let find rs b =
+  let cands = candidates rs.dispatch b in
+  let rec scan i =
+    if i >= Array.length cands then None
+    else
+      let r = Array.unsafe_get cands i in
+      if matches r b then Some r else scan (i + 1)
+  in
+  scan 0
+
+let dispatch rs b =
+  if Array.length b <> Array.length rs.cols then
+    invalid_arg "Semantics.dispatch: binding length";
+  Option.map
+    (fun r ->
+      ( r.row,
+        List.filter_map
+          (fun i -> Option.map (fun v -> (rs.outs.(i), v)) r.action.(i))
+          (List.init (Array.length rs.outs) Fun.id) ))
+    (find rs b)
+
+(* The single choke point where controller-table rows fire: record the
+   matched row in the coverage bitmap (a no-op branch when coverage is
+   off — safe from parallel workers, see Obs.Coverage) and in the flight
+   recorder, under the same (table id, row) attribution.  The naive
+   matcher is the boxed reference's: it zips the binding with the
+   site's columns and runs first match over the string rules, sharing
+   nothing with the compiled dispatch it checks. *)
+let fire rs row action =
+  Obs.Coverage.record ~id:rs.cov ~row;
+  Obs.Flightrec.record ~tag:Obs.Flightrec.tag_fire ~a:rs.cov ~b:row ();
+  Some action
+
+let eval rs b =
+  if rs.naive then
+    match
+      Mapping.Codegen.eval_rule (Lazy.force rs.source)
+        (List.combine (Array.to_list rs.cols) (Array.to_list b))
+    with
+    | None -> None
+    | Some r ->
+        fire rs r.Mapping.Codegen.row
+          (Array.map (fun c -> List.assoc_opt c r.Mapping.Codegen.action) rs.outs)
+  else
+    match find rs b with None -> None | Some r -> fire rs r.row r.action
 
 (* Every symbolic string a reachable state can contain comes out of a
    controller-table cell: harvest them per column, so the bit-packer can
    seed its per-field dictionaries up front and pool workers never
    intern (Pack relies on the read-only Dict.code_opt fast path). *)
 let pack_vocab t =
-  let tbl : (string, string list) Hashtbl.t = Hashtbl.create 32 in
-  let record (col, v) =
-    let prev = Option.value (Hashtbl.find_opt tbl col) ~default:[] in
-    if not (List.mem v prev) then Hashtbl.replace tbl col (v :: prev)
+  let tbl : (string, unit Sh.t) Hashtbl.t = Hashtbl.create 32 in
+  let record col v =
+    let vs =
+      match Hashtbl.find_opt tbl col with
+      | Some vs -> vs
+      | None ->
+          let vs = Sh.create 16 in
+          Hashtbl.add tbl col vs;
+          vs
+    in
+    Sh.replace vs v ()
   in
+  (* every non-NULL cell of a guard or action column, read off the
+     dictionary codes the rows use *)
   List.iter
-    (fun rs ->
+    (fun (_, rs) ->
       List.iter
-        (fun (r : Mapping.Codegen.rule) ->
-          List.iter record r.guard;
-          List.iter record r.action)
-        rs.rules)
-    [ t.d_rules; t.c_rules; t.n_rules; t.pif_rules; t.m_rules; t.io_rules ];
+        (fun c ->
+          let codes, strs = Mapping.Codegen.rendered_column rs.table c in
+          let used = Array.make (Array.length strs) false in
+          for i = 0 to Relalg.Table.cardinality rs.table - 1 do
+            used.(codes.(i)) <- true
+          done;
+          Array.iteri
+            (fun code s ->
+              match s with Some v when used.(code) -> record c v | _ -> ())
+            strs)
+        (rs.inputs @ rs.outputs))
+    (rulesets t);
   Hashtbl.fold
-    (fun col vs acc -> (col, List.sort compare vs) :: acc)
+    (fun col vs acc ->
+      (col, List.sort compare (Sh.fold (fun v () l -> v :: l) vs [])) :: acc)
     tbl []
   |> List.sort compare
 
@@ -201,39 +487,13 @@ type config = {
 }
 type outcome = Next of Mstate.t | Broken of string
 
-(* The single choke point where controller-table rows fire: record the
-   matched row in the coverage bitmap (a no-op branch when coverage is
-   off — safe from parallel workers, see Obs.Coverage). *)
-let rec index_candidates idx binding =
-  match idx with
-  | Flat rules -> rules
-  | Split { disc; buckets; unbound; all } -> (
-      match List.assoc_opt disc binding with
-      | None -> all (* binding doesn't carry the discriminator *)
-      | Some v -> (
-          match Hashtbl.find_opt buckets v with
-          | Some sub -> index_candidates sub binding
-          | None -> index_candidates unbound binding))
-
-let eval rs binding =
-  let candidates =
-    match rs.index with
-    | None -> rs.rules
-    | Some idx -> index_candidates idx binding
-  in
-  match Mapping.Codegen.eval_rule candidates binding with
-  | None -> None
-  | Some r ->
-      Obs.Coverage.record ~id:rs.cov ~row:r.Mapping.Codegen.row;
-      (* same (table id, row) attribution as coverage, so flight-recorded
-         firings decode through the identical registry *)
-      Obs.Flightrec.record ~tag:Obs.Flightrec.tag_fire ~a:rs.cov
-        ~b:r.Mapping.Codegen.row ();
-      Some r.Mapping.Codegen.action
 let bit n = 1 lsl n
-let data_bearing m =
-  List.mem m
-    [ "data"; "datax"; "mdata"; "sdata"; "swbdata"; "wb"; "mwrite"; "mupdate" ]
+
+let data_bearing = function
+  | "data" | "datax" | "mdata" | "sdata" | "swbdata" | "wb" | "mwrite"
+  | "mupdate" ->
+      true
+  | _ -> false
 
 (* The request a node reissues after a retry, from its pending op. *)
 let request_of_pendop = function
@@ -249,7 +509,8 @@ let request_of_pendop = function
 (* Directory                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let dir_binding config st ~cls msg =
+(* In [dir_site.cols] order. *)
+let dir_binding_array config st ~cls msg =
   let a = addr_state st msg.addr in
   let addrspace =
     if List.mem msg.addr config.io_addrs then "io" else "mem"
@@ -259,29 +520,33 @@ let dir_binding config st ~cls msg =
     else if msg.src = mem then "home"
     else "remote"
   in
-  [
-    "inmsg", msg.m; "inmsgsrc", src_role; "inmsgdest", "home";
-    "inmsgres", cls; "addrspace", addrspace; "dirst", a.dirst;
-    "dirpv", pv_encode a.sharers;
-    "reqpv", (if a.sharers land bit msg.src <> 0 then "in" else "out");
-    "bdirst", (match a.busy with Some b -> b.bst | None -> "I");
-    "bdirpv", (match a.busy with Some b -> pv_encode b.acks | None -> "zero");
-    "dirlookup", (if a.dirst = "I" then "miss" else "hit");
-    "bdirlookup", (if a.busy = None then "miss" else "hit");
-  ]
+  [|
+    msg.m; src_role; "home"; cls; addrspace; a.dirst; pv_encode a.sharers;
+    (if a.sharers land bit msg.src <> 0 then "in" else "out");
+    (match a.busy with Some b -> b.bst | None -> "I");
+    (match a.busy with Some b -> pv_encode b.acks | None -> "zero");
+    (if a.dirst = "I" then "miss" else "hit");
+    (if a.busy = None then "miss" else "hit");
+  |]
+
+let dir_binding config st ~cls msg =
+  List.combine (Array.to_list dir_site.cols)
+    (Array.to_list (dir_binding_array config st ~cls msg))
 
 let deliver_dir tables config st cls msg =
   let a = addr_state st msg.addr in
-  let binding = dir_binding config st ~cls msg in
+  let binding = dir_binding_array config st ~cls msg in
   match eval tables.d_rules binding with
   | None ->
       Broken
         (Printf.sprintf "D has no row for %s (%s) dirst=%s bdirst=%s" msg.m
-           (List.assoc "inmsgsrc" binding)
-           a.dirst
+           binding.(1) a.dirst
            (match a.busy with Some b -> b.bst | None -> "I"))
-  | Some outputs ->
-      let field c = List.assoc_opt c outputs in
+  | Some out ->
+      (* positions of [dir_site.outs] *)
+      let locmsg = out.(0) and remmsg = out.(1) and memmsg = out.(2)
+      and bdirop = out.(3) and nxtbdirst = out.(4) and nxtbdirpv = out.(5)
+      and nxtdirst = out.(6) and nxtdirpv = out.(7) in
       let requester =
         match cls, a.busy with
         | "reqq", _ -> msg.src
@@ -299,16 +564,16 @@ let deliver_dir tables config st cls msg =
         | None, None -> true
       in
       (* snoop targets, before any state update *)
-      let drepl = field "nxtbdirpv" = Some "drepl" in
+      let drepl = nxtbdirpv = Some "drepl" in
       let targets =
-        match field "remmsg" with
+        match remmsg with
         | None -> 0
         | Some "sinv" ->
             if drepl then a.sharers land lnot (bit requester) else a.sharers
         | Some _ -> a.sharers
       in
       let st = ref st in
-      (match field "locmsg" with
+      (match locmsg with
       | Some locmsg ->
           st :=
             enqueue !st ~cls:"resp"
@@ -318,18 +583,22 @@ let deliver_dir tables config st cls msg =
                   (if data_bearing locmsg then forwarded_fresh else true);
               }
       | None -> ());
-      (match field "remmsg" with
+      (match remmsg with
       | Some remmsg ->
-          List.iter
-            (fun n ->
-              if targets land bit n <> 0 then
-                st :=
-                  enqueue !st ~cls:"snp"
-                    { m = remmsg; src = dir; dst = n; addr = msg.addr;
-                      fresh = true })
-            (List.init 16 Fun.id)
+          (* one snoop per target, lowest node first *)
+          let rec fan mask =
+            if mask <> 0 then begin
+              let low = mask land -mask in
+              st :=
+                enqueue !st ~cls:"snp"
+                  { m = remmsg; src = dir; dst = popcount (low - 1);
+                    addr = msg.addr; fresh = true };
+              fan (mask lxor low)
+            end
+          in
+          fan (targets land 0xffff)
       | None -> ());
-      (match field "memmsg" with
+      (match memmsg with
       | Some memmsg ->
           st :=
             enqueue !st ~cls:"memq"
@@ -344,11 +613,11 @@ let deliver_dir tables config st cls msg =
       (* busy-directory operation *)
       let base = match a.busy with Some b -> b.snapshot | None -> a.sharers in
       let busy' =
-        match field "bdirop" with
+        match bdirop with
         | Some "alloc" ->
             Some
               {
-                bst = Option.value (field "nxtbdirst") ~default:"I";
+                bst = Option.value nxtbdirst ~default:"I";
                 requester;
                 acks = targets;
                 snapshot =
@@ -362,14 +631,16 @@ let deliver_dir tables config st cls msg =
                 let acks =
                   if
                     cls = "respq"
-                    && List.mem msg.m
-                         [ "idone"; "sack"; "snack"; "sdata"; "swbdata" ]
+                    && (match msg.m with
+                       | "idone" | "sack" | "snack" | "sdata" | "swbdata" ->
+                           true
+                       | _ -> false)
                   then b.acks land lnot (bit msg.src)
                   else b.acks
                 in
                 {
                   b with
-                  bst = Option.value (field "nxtbdirst") ~default:b.bst;
+                  bst = Option.value nxtbdirst ~default:b.bst;
                   acks;
                   data_fresh = forwarded_fresh;
                 })
@@ -378,9 +649,9 @@ let deliver_dir tables config st cls msg =
         | _ -> a.busy
       in
       (* directory state and concrete presence-vector operation *)
-      let dirst' = Option.value (field "nxtdirst") ~default:a.dirst in
+      let dirst' = Option.value nxtdirst ~default:a.dirst in
       let sharers' =
-        match field "nxtdirpv" with
+        match nxtdirpv with
         | Some "repl" -> bit requester
         | Some "inc" -> base lor bit requester
         | Some "dec" ->
@@ -389,7 +660,7 @@ let deliver_dir tables config st cls msg =
         | Some "drepl" -> base land lnot (bit requester)
         | _ -> a.sharers
       in
-      let sharers' = if field "nxtdirst" = Some "I" then 0 else sharers' in
+      let sharers' = if nxtdirst = Some "I" then 0 else sharers' in
       st :=
         set_addr !st msg.addr
           { a with dirst = dirst'; sharers = sharers'; busy = busy' };
@@ -400,53 +671,48 @@ let deliver_dir tables config st cls msg =
 (* ------------------------------------------------------------------ *)
 
 let deliver_snoop tables st node msg =
-  let binding =
-    [
-      "inmsg", msg.m; "inmsgsrc", "home"; "inmsgdest", "remote";
-      "inmsgres", "snpq"; "cachest", cache st ~node ~addr:msg.addr;
-    ]
-  in
-  match eval tables.c_rules binding with
+  let cachest = cache st ~node ~addr:msg.addr in
+  match
+    eval tables.c_rules [| msg.m; "home"; "remote"; "snpq"; cachest |]
+  with
   | None ->
       Broken
         (Printf.sprintf "C has no row for %s at node %d in %s" msg.m node
-           (cache st ~node ~addr:msg.addr))
-  | Some outputs ->
+           cachest)
+  | Some out ->
+      (* positions of [snoop_site.outs] *)
       let st = ref st in
-      (match List.assoc_opt "respmsg" outputs with
+      (match out.(0) with
       | Some resp ->
           st :=
             enqueue !st ~cls:"respq"
               { m = resp; src = node; dst = dir; addr = msg.addr; fresh = true }
       | None -> ());
-      (match List.assoc_opt "nxtcachest" outputs with
+      (match out.(1) with
       | Some c -> st := set_cache !st ~node ~addr:msg.addr c
       | None -> ());
       Next !st
 
 let deliver_response tables st node msg =
   let pendop = pending st ~node ~addr:msg.addr in
-  let binding =
-    [
-      "inmsg", msg.m; "inmsgsrc", "home"; "inmsgdest", "local";
-      "inmsgres", "respq";
-      "pendop", Option.value pendop ~default:"none";
-    ]
-  in
-  match eval tables.n_rules binding with
+  let pendop_s = Option.value pendop ~default:"none" in
+  match
+    eval tables.n_rules [| msg.m; "home"; "local"; "respq"; pendop_s |]
+  with
   | None ->
       Broken
         (Printf.sprintf "N has no row for %s at node %d pending %s" msg.m node
-           (Option.value pendop ~default:"none"))
-  | Some outputs ->
-      let field c = List.assoc_opt c outputs in
+           pendop_s)
+  | Some out ->
+      (* positions of [response_site.outs] *)
+      let cachefill = out.(0) and ackmsg = out.(1) and procresult = out.(2) in
       if data_bearing msg.m && not msg.fresh then
         Broken
           (Printf.sprintf "stale data: %s delivered to node %d for addr %d"
              msg.m node msg.addr)
       else begin
         let st = ref st in
-        (match field "cachefill" with
+        (match cachefill with
         | Some "shared" -> st := set_cache !st ~node ~addr:msg.addr "S"
         | Some "excl" ->
             st := set_cache !st ~node ~addr:msg.addr "M";
@@ -454,14 +720,14 @@ let deliver_response tables st node msg =
             let a = addr_state !st msg.addr in
             st := set_addr !st msg.addr { a with mem_fresh = false }
         | _ -> ());
-        (match field "ackmsg" with
+        (match ackmsg with
         | Some ackmsg ->
             st :=
               enqueue !st ~cls:"ackq"
                 { m = ackmsg; src = node; dst = dir; addr = msg.addr;
                   fresh = true }
         | None -> ());
-        (match field "procresult" with
+        (match procresult with
         | Some ("done" | "fault") ->
             st := set_pending !st ~node ~addr:msg.addr None
         | Some "retrylater" -> (
@@ -481,15 +747,14 @@ let deliver_response tables st node msg =
 (* ------------------------------------------------------------------ *)
 
 let deliver_mem tables st msg =
-  let io_request = msg.m = "mioread" || msg.m = "miowrite" in
-  let binding =
-    [ "inmsg", msg.m; "inmsgsrc", "home"; "inmsgdest", "home";
-      "inmsgres", "memq" ]
-    @ (if io_request then [ "devst", "ready" ] else [ "eccst", "ok" ])
+  let rules, binding =
+    if msg.m = "mioread" || msg.m = "miowrite" then
+      tables.io_rules, [| msg.m; "home"; "home"; "memq"; "ready" |]
+    else tables.m_rules, [| msg.m; "home"; "home"; "memq"; "ok" |]
   in
-  match eval (if io_request then tables.io_rules else tables.m_rules) binding with
+  match eval rules binding with
   | None -> Broken (Printf.sprintf "M/IO has no row for %s" msg.m)
-  | Some outputs ->
+  | Some out ->
       let a = addr_state st msg.addr in
       let st =
         if msg.m = "mwrite" || msg.m = "mupdate" then
@@ -497,8 +762,9 @@ let deliver_mem tables st msg =
         else st
       in
       let a = addr_state st msg.addr in
+      (* position 0 of [mem_site.outs] and [io_site.outs] *)
       let st =
-        match List.assoc_opt "outmsg" outputs with
+        match out.(0) with
         | Some resp ->
             enqueue st ~cls:"respq"
               {
@@ -514,13 +780,11 @@ let deliver_mem tables st msg =
 (* ------------------------------------------------------------------ *)
 
 let issue tables st node addr op =
-  let cachest = cache st ~node ~addr in
-  let binding = [ "procop", op; "cachest", cachest ] in
-  match eval tables.pif_rules binding with
+  match eval tables.pif_rules [| op; cache st ~node ~addr |] with
   | None -> None
-  | Some outputs ->
-      let field c = List.assoc_opt c outputs in
-      (match field "reqmsg" with
+  | Some out -> (
+      (* positions of [issue_site.outs] *)
+      match out.(0) with
       | None -> None (* a pure cache hit changes nothing: skip *)
       | Some req ->
           let st =
@@ -528,7 +792,7 @@ let issue tables st node addr op =
               { m = req; src = node; dst = dir; addr; fresh = true }
           in
           let st =
-            match field "pendop" with
+            match out.(1) with
             | Some p -> set_pending st ~node ~addr (Some p)
             | None -> st
           in
@@ -543,7 +807,7 @@ let issue tables st node addr op =
 (* A backed-off operation re-enters the network as a fresh request. *)
 let backoff_of pend =
   match pend with
-  | Some s when String.length s > 8 && String.sub s 0 8 = "backoff:" ->
+  | Some s when String.length s > 8 && String.starts_with ~prefix:"backoff:" s ->
       Some (String.sub s 8 (String.length s - 8))
   | _ -> None
 
@@ -569,99 +833,98 @@ let within_capacity config st =
     (fun (_, q) -> List.length q <= config.capacity)
     st.Mstate.queues
 
+let io_op = function "ioload" | "iostore" | "iormwop" -> true | _ -> false
+
+let link_class = function
+  | "reqq" | "respq" | "snp" | "resp" -> true
+  | _ -> false
+
 let successors ?(labels = true) tables config st =
   (* Label rendering is a real fraction of the per-state cost (several
      Printf.sprintf per expansion).  The boxed reference engine needs
      the labels — it stores one per visited state for counterexample
      traces — but the packed engine reconstructs traces by sequential
-     replay and pass [~labels:false] to skip the rendering entirely. *)
-  let lbl f = if labels then f () else "" in
-  let io_op op = List.mem op [ "ioload"; "iostore"; "iormwop" ] in
-  let reissues =
-    List.concat_map
-      (fun node ->
-        List.filter_map
-          (fun addr ->
-            match reissue st ~node ~addr with
-            | Some st' when within_capacity config st' ->
-                Some
-                  ( lbl (fun () ->
-                        Printf.sprintf "reissue node%d addr%d" node addr),
-                    Next st' )
-            | Some _ | None -> None)
-          (List.init config.addrs Fun.id))
-      (List.init config.nodes Fun.id)
-  in
-  let issues =
-    List.concat_map
-      (fun node ->
-        List.concat_map
-          (fun addr ->
-            let is_io = List.mem addr config.io_addrs in
-            if pending st ~node ~addr <> None then []
-            else
-              List.filter_map
-                (fun op ->
-                  if io_op op <> is_io then None
-                  else
-                  match issue tables st node addr op with
-                  | Some st' when within_capacity config st' ->
-                      Some
-                        ( lbl (fun () ->
-                              Printf.sprintf "issue %s node%d addr%d" op node
-                                addr),
-                          Next st' )
-                  | Some _ | None -> None)
-                config.ops)
-          (List.init config.addrs Fun.id))
-      (List.init config.nodes Fun.id)
-  in
-  let deliveries =
-    List.filter_map
-      (fun ((_, dst, cls), msg) ->
-        let label =
-          lbl (fun () ->
-              Printf.sprintf "deliver %s %d->%d (%s) addr%d" msg.m msg.src dst
-                cls msg.addr)
-        in
-        let st' =
-          match dequeue st (msg.src, dst, cls) with
-          | Some (_, st') -> st'
-          | None -> assert false
-        in
-        let outcome =
-          if dst = dir then deliver_dir tables config st' cls msg
-          else if dst = mem then deliver_mem tables st' msg
-          else if cls = "snp" then deliver_snoop tables st' dst msg
-          else deliver_response tables st' dst msg
-        in
-        match outcome with
-        | Next s when not (within_capacity config s) ->
-            None (* backpressure: the consumer stalls on a full queue *)
-        | outcome -> Some (label, outcome))
-      (queue_heads st)
-  in
-  let drops =
-    if not config.lossy then []
-    else
-      (* a faulty link silently drops an inter-node message (the link
-         controller's crcdrop row); intra-node and reserved resources
-         (memq, ackq) are not links *)
-      List.filter_map
-        (fun ((src, dst, cls), (msg : Mstate.msg)) ->
-          if List.mem cls [ "reqq"; "respq"; "snp"; "resp" ] then
-            match dequeue st (src, dst, cls) with
+     replay and pass [~labels:false] to skip the rendering entirely.
+     Transitions accumulate in reverse and are reversed once: reissues,
+     issues, deliveries, then drops. *)
+  let out = ref [] in
+  let enabled label outcome = out := (label, outcome) :: !out in
+  for node = 0 to config.nodes - 1 do
+    for addr = 0 to config.addrs - 1 do
+      match reissue st ~node ~addr with
+      | Some st' when within_capacity config st' ->
+          enabled
+            (if labels then Printf.sprintf "reissue node%d addr%d" node addr
+             else "")
+            (Next st')
+      | Some _ | None -> ()
+    done
+  done;
+  for node = 0 to config.nodes - 1 do
+    for addr = 0 to config.addrs - 1 do
+      let is_io = List.mem addr config.io_addrs in
+      if Option.is_none (pending st ~node ~addr) then
+        List.iter
+          (fun op ->
+            if io_op op = is_io then
+              match issue tables st node addr op with
+              | Some st' when within_capacity config st' ->
+                  enabled
+                    (if labels then
+                       Printf.sprintf "issue %s node%d addr%d" op node addr
+                     else "")
+                    (Next st')
+              | Some _ | None -> ())
+          config.ops
+    done
+  done;
+  List.iter
+    (fun ((_, dst, cls), q) ->
+      match q with
+      | [] -> ()
+      | msg :: _ -> (
+          let st' =
+            match dequeue st (msg.src, dst, cls) with
+            | Some (_, st') -> st'
+            | None -> assert false
+          in
+          let outcome =
+            if dst = dir then deliver_dir tables config st' cls msg
+            else if dst = mem then deliver_mem tables st' msg
+            else if cls = "snp" then deliver_snoop tables st' dst msg
+            else deliver_response tables st' dst msg
+          in
+          match outcome with
+          | Next s when not (within_capacity config s) ->
+              () (* backpressure: the consumer stalls on a full queue *)
+          | outcome ->
+              enabled
+                (if labels then
+                   Printf.sprintf "deliver %s %d->%d (%s) addr%d" msg.m msg.src
+                     dst cls msg.addr
+                 else "")
+                outcome))
+    st.queues;
+  if config.lossy then
+    (* a faulty link silently drops an inter-node message (the link
+       controller's crcdrop row); intra-node and reserved resources
+       (memq, ackq) are not links *)
+    List.iter
+      (fun (((src, dst, cls) as k), q) ->
+        match q with
+        | (msg : Mstate.msg) :: _ when link_class cls -> (
+            match dequeue st k with
             | Some (_, st') ->
-                Some
-                  ( lbl (fun () ->
-                        Printf.sprintf "DROP %s %d->%d (%s) addr%d" msg.m src
-                          dst cls msg.addr),
-                    Next st' )
-            | None -> None
-          else None)
-        (queue_heads st)
-  in
-  reissues @ issues @ deliveries @ drops
+                enabled
+                  (if labels then
+                     Printf.sprintf "DROP %s %d->%d (%s) addr%d" msg.m src dst
+                       cls msg.addr
+                   else "")
+                  (Next st')
+            | None -> ())
+        | _ -> ())
+      st.queues;
+  List.rev !out
 
 let deliver ?(config = { nodes = 0; addrs = 0; ops = []; capacity = 0; io_addrs = []; lossy = false })
     tables st ~cls ~dst msg =

@@ -9,7 +9,16 @@
     same rows that are mapped to hardware in section 5. *)
 
 type tables
-(** Precompiled rule lists for the five executable tables. *)
+(** The six executable tables (D, C, N, PIF, M, IO), each compiled once
+    against the delivery site that fires it.  A site builds its binding
+    as a [string array] over a fixed column order; a guard becomes
+    (binding position, value) pairs, an action a [string option array]
+    over the site's output positions, and rules are bucketed by a
+    discriminating guard position (the input message name, in practice)
+    so dispatch compares a handful of candidates.  The matched row is
+    exactly the row first match over the priority-ordered rules gives,
+    so coverage and flight-recorder attribution (table id, row) are
+    those of the string rules. *)
 
 val load_tables : unit -> tables
 
@@ -17,14 +26,12 @@ val load_tables_with : ?dir:Protocol.Ctrl_spec.t -> unit -> tables
 (** Like {!load_tables} but with the directory-controller specification
     replaced — used to model-check seeded-bug variants of D. *)
 
-val index_tables : tables -> tables
-(** Rules re-bucketed by a discriminating guard column (the input
-    message name, in practice) so rule dispatch scans a handful of
-    candidates instead of the whole table.  First-match semantics —
-    including the matched row recorded in the coverage bitmaps — are
-    exactly those of the unindexed rules; the packed exploration
-    engine runs on indexed tables while the boxed reference search
-    keeps the naive scan the differential suite trusts. *)
+val reference_tables : tables -> tables
+(** The same tables dispatched by the naive matcher: each binding is
+    zipped with its site's columns and matched first-match over the
+    string rules by {!Mapping.Codegen.eval_rule}.  The boxed reference
+    search runs on these, so the differential suites check the compiled
+    dispatch against a matcher that shares none of its code. *)
 
 type config = {
   nodes : int;  (** caches in the system (2–5 are practical) *)
@@ -98,10 +105,46 @@ val dir_binding :
     simulator ({!Sim.Impl_runner}). *)
 
 val directory_rules : tables -> Mapping.Codegen.rule list
-(** The compiled directory rule list (for gating against ED variants). *)
+(** The directory's string rule list (for gating against ED variants). *)
 
 val pack_vocab : tables -> (string * string list) list
 (** Every (column, value) string pair appearing in any guard or action
-    of the compiled tables, grouped by column and sorted.  The
-    bit-packer ({!Pack.layout}) seeds its per-field dictionaries from
-    this, so packing in pool workers never has to intern. *)
+    of the tables, grouped by column and sorted.  The bit-packer
+    ({!Pack.layout}) seeds its per-field dictionaries from this, so
+    packing in pool workers never has to intern. *)
+
+(** {1 Compiled dispatch}
+
+    Exposed for the differential tests, which check it against first
+    match over the string rules ({!Mapping.Codegen.eval_rule}). *)
+
+type ruleset
+(** One compiled table. *)
+
+val rulesets : tables -> (string * ruleset) list
+(** Every table by name: D, C, N, PIF, M, IO. *)
+
+val compile_table :
+  columns:string array ->
+  inputs:string list ->
+  outputs:string list ->
+  Relalg.Table.t ->
+  ruleset
+(** Compile any table against a binding column order, the way
+    {!load_tables} compiles the executable ones, without registering it
+    for coverage: lets the tests check dispatch on tables whose rules
+    overlap, where priority order decides the row (the generated
+    controller tables never overlap). *)
+
+val columns : ruleset -> string array
+(** The binding columns of the table's delivery site, in binding-array
+    order. *)
+
+val rules : ruleset -> Mapping.Codegen.rule list
+(** The string rules the table was compiled from, in priority order. *)
+
+val dispatch : ruleset -> string array -> (int * (string * string) list) option
+(** The row compiled dispatch fires for a binding (in {!columns} order),
+    with its non-null outputs; recorded nowhere.  A value no guard names
+    stands for an absent column.
+    @raise Invalid_argument if the binding's length is not the site's. *)

@@ -232,7 +232,15 @@ let split_indexable indexes pred =
   in
   go [] (conjuncts pred)
 
+(* Column names resolve while planning, so a plan naming a column its
+   input lacks is refused the same way whether or not it executes. *)
+let resolve st cols =
+  List.iter
+    (fun c -> if not (List.mem c st.cols) then raise (Schema.Unknown_column c))
+    cols
+
 let filter_node e (c, st) =
+  resolve st (Expr.free_columns e);
   let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
   (node (Filter e) rows (c.cost +. st.rows) [ c ], restrict st rows)
 
@@ -262,6 +270,7 @@ let rec annotate ~indexes db (p : Plan.t) : t * stats =
   | Plan.Select (e, inner) -> filter_node e (annotate db inner)
   | Plan.Project (cols, inner) ->
       let c, st = annotate db inner in
+      resolve st cols;
       let st =
         { st with cols; ndv = List.filter (fun (c, _) -> List.mem c cols) st.ndv }
       in
@@ -284,6 +293,7 @@ let rec annotate ~indexes db (p : Plan.t) : t * stats =
         restrict st rows )
   | Plan.Limit (n, Plan.Project (cols, Plan.Sort (keys, inner))) ->
       let topk, st = annotate db (Plan.Limit (n, Plan.Sort (keys, inner))) in
+      resolve st cols;
       let st =
         { st with cols; ndv = List.filter (fun (c, _) -> List.mem c cols) st.ndv }
       in

@@ -258,6 +258,169 @@ let test_depth_only_on_one_domain () =
       (String.starts_with ~prefix:"depth histogram unavailable" profile)
   end
 
+(* ------------- compiled dispatch against naive first match ------------- *)
+
+(* Every executable table is compiled into positional dispatch at load
+   time; here each one is checked against first match over its string
+   rules ({!Mapping.Codegen.eval_rule}), on the clean tables and on the
+   stale-data D.  [absent] stands for a column the binding leaves out
+   (the naive binding omits it; no guard names it, so compiled dispatch
+   treats it as unbound); [unnamed] is a bound value no guard names. *)
+let absent = "\000absent"
+let unnamed = "\000unnamed"
+
+let stale_tables =
+  lazy
+    (Semantics.load_tables_with
+       ~dir:
+         (Protocol.Ctrl_spec.map_scenario Protocol.Dir_controller.spec
+            "read-sdata-grant" (fun s ->
+              { s with emit = List.filter (fun (c, _) -> c <> "memmsg") s.emit }))
+       ())
+
+(* each binding column's guard values, plus the two that match nothing *)
+let vocabulary rs =
+  Array.map
+    (fun c ->
+      Array.of_list
+        (List.sort_uniq compare
+           (List.filter_map
+              (fun (r : Mapping.Codegen.rule) -> List.assoc_opt c r.guard)
+              (Semantics.rules rs))
+        @ [ unnamed; absent ]))
+    (Semantics.columns rs)
+
+(* (name, ruleset, vocabulary, rules) for every table under test *)
+let dispatch_tables =
+  lazy
+    (List.map
+       (fun (name, rs) ->
+         (name, rs, vocabulary rs, Array.of_list (Semantics.rules rs)))
+       (List.map (fun (name, rs) -> ("clean " ^ name, rs))
+          (Semantics.rulesets (Lazy.force tables))
+       @ [ ("stale D",
+            List.assoc "D" (Semantics.rulesets (Lazy.force stale_tables))) ]))
+
+let naive_fire rs b =
+  let binding =
+    List.filter
+      (fun (_, v) -> not (String.equal v absent))
+      (List.combine
+         (Array.to_list (Semantics.columns rs))
+         (Array.to_list b))
+  in
+  Option.map
+    (fun (r : Mapping.Codegen.rule) -> (r.row, List.sort compare r.action))
+    (Mapping.Codegen.eval_rule (Semantics.rules rs) binding)
+
+let compiled_fire rs b =
+  Option.map
+    (fun (row, outs) -> (row, List.sort compare outs))
+    (Semantics.dispatch rs b)
+
+let pick rng vals = vals.(Random.State.int rng (Array.length vals))
+
+(* a rule's own guard values, the columns it leaves free drawn from the
+   vocabulary *)
+let own_binding rng vocab rs (r : Mapping.Codegen.rule) =
+  Array.mapi
+    (fun p c ->
+      match List.assoc_opt c r.guard with
+      | Some v -> v
+      | None -> pick rng vocab.(p))
+    (Semantics.columns rs)
+
+let agree name rs b =
+  let expect = naive_fire rs b and got = compiled_fire rs b in
+  if expect <> got then
+    Alcotest.failf "%s: binding [%s] fires %s, first match fires %s" name
+      (String.concat "; " (Array.to_list b))
+      (match got with Some (row, _) -> "row " ^ string_of_int row | None -> "nothing")
+      (match expect with Some (row, _) -> "row " ^ string_of_int row | None -> "nothing");
+  true
+
+let test_dispatch_every_row () =
+  let rng = Random.State.make [| 15 |] in
+  List.iter
+    (fun (name, rs, vocab, rules) ->
+      Array.iter
+        (fun r -> ignore (agree name rs (own_binding rng vocab rs r) : bool))
+        rules)
+    (Lazy.force dispatch_tables)
+
+(* Random bindings near the rules: a rule's own binding with some
+   columns redrawn from the vocabulary (including the two values that
+   match nothing) and, a quarter of the time, the discriminator — the
+   first column, the input message or processor op — omitted. *)
+let prop_dispatch_random =
+  QCheck.Test.make ~count:100
+    ~name:"compiled dispatch fires the row naive first match fires"
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun (name, rs, vocab, rules) ->
+          List.for_all
+            (fun _ ->
+              let b = own_binding rng vocab rs (pick rng rules) in
+              Array.iteri
+                (fun p _ ->
+                  if Random.State.int rng 3 = 0 then b.(p) <- pick rng vocab.(p))
+                b;
+              if Random.State.int rng 4 = 0 then b.(0) <- absent;
+              agree name rs b)
+            (List.init 20 Fun.id))
+        (Lazy.force dispatch_tables))
+
+(* The generated controller tables are functions (no binding matches
+   two rows), so on them priority order is unobservable.  Random small
+   tables with NULL dont-cares overlap freely: several rows of equal
+   specificity match one binding and table order picks the row.  The
+   site binds a..d and [e], which is no table column; the table's input
+   [f] is never bound, so a row constraining it can never fire. *)
+let overlap_inputs = [ "a"; "b"; "c"; "d"; "f" ]
+let overlap_columns = [| "a"; "b"; "c"; "d"; "e" |]
+
+let overlap_table rng =
+  let cell c =
+    if c = "f" && Random.State.int rng 6 <> 0 then Relalg.Value.Null
+    else
+      match pick rng [| Some "x"; Some "y"; Some "z"; None |] with
+      | Some v -> Relalg.Value.Str v
+      | None -> Relalg.Value.Null
+  in
+  Relalg.Table.of_rows ~name:"overlap"
+    (Relalg.Schema.of_list (overlap_inputs @ [ "o" ]))
+    (List.init
+       (6 + Random.State.int rng 40)
+       (fun i ->
+         Array.of_list
+           (List.map cell overlap_inputs
+           @ [ Relalg.Value.Str ("o" ^ string_of_int i) ])))
+
+let prop_dispatch_overlapping =
+  QCheck.Test.make ~count:200
+    ~name:"compiled dispatch keeps first-match priority on overlapping rows"
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let rs =
+        Semantics.compile_table ~columns:overlap_columns
+          ~inputs:overlap_inputs ~outputs:[ "o" ] (overlap_table rng)
+      in
+      let values = [| "x"; "y"; "z"; unnamed; absent |] in
+      let vocab = Array.map (fun _ -> values) overlap_columns in
+      let rules = Array.of_list (Semantics.rules rs) in
+      List.for_all
+        (fun _ ->
+          let b =
+            if Random.State.bool rng then
+              own_binding rng vocab rs (pick rng rules)
+            else Array.map (fun _ -> pick rng values) overlap_columns
+          in
+          agree "overlap" rs b)
+        (List.init 20 Fun.id))
+
 let suite =
   [
     Alcotest.test_case "state basics" `Quick test_state_basics;
@@ -280,4 +443,8 @@ let suite =
       test_elapsed_is_wall_clock;
     Alcotest.test_case "depth reported only on one domain" `Quick
       test_depth_only_on_one_domain;
+    Alcotest.test_case "compiled dispatch equals first match on every row" `Quick
+      test_dispatch_every_row;
+    QCheck_alcotest.to_alcotest prop_dispatch_random;
+    QCheck_alcotest.to_alcotest prop_dispatch_overlapping;
   ]
